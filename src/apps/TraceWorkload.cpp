@@ -140,22 +140,65 @@ uint32_t rawSize(CollectionRuntime &RT, const CollectionHandleBase &H) {
   return RT.heap().getAs<CollectionImplBase>(W.Impl).size();
 }
 
-/// Executes one task's ops. \p GL / \p GS / \p GM are the task's global
-/// handle slots (persistent main-thread roots during boot, task-local
-/// lazy adoptions on workers). Returns the op count executed.
+/// One thread's register file, allocated once per replay: handle slots for
+/// the global registers and the temp registers. A task adopts the globals
+/// it touches lazily and `endTask` drops exactly the roots the task took,
+/// so a task costs in proportion to its ops, not to the register count.
+/// The boot file's globals are allocations, not adoptions: they stay
+/// rooted for the whole run.
+struct RegisterFile {
+  std::vector<List> GL;
+  std::vector<Set> GS;
+  std::vector<Map> GM;
+  /// Global slots the current task adopted, in adoption order.
+  std::vector<uint32_t> Adopted;
+  std::vector<List> TL;
+  std::vector<Set> TS;
+  std::vector<Map> TM;
+  std::vector<AdtKind> TempAdt;
+  /// One past the highest temp slot the current task allocated.
+  uint32_t TempsUsed = 0;
+
+  explicit RegisterFile(uint32_t Globals)
+      : GL(Globals), GS(Globals), GM(Globals) {}
+
+  /// Drops the current task's adoptions and temps (a validated task has
+  /// retired every temp already; resetting them keeps the file clean
+  /// regardless).
+  void endTask() {
+    for (uint32_t Slot : Adopted) {
+      GL[Slot] = List();
+      GS[Slot] = Set();
+      GM[Slot] = Map();
+    }
+    Adopted.clear();
+    for (uint32_t Slot = 0; Slot < TempsUsed; ++Slot) {
+      TL[Slot] = List();
+      TS[Slot] = Set();
+      TM[Slot] = Map();
+    }
+    TempsUsed = 0;
+  }
+};
+
+/// Executes one task's ops on \p R (the main thread's boot file during
+/// boot, the worker's own file otherwise), then ends the task on it.
+/// Returns the op count executed.
 uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
                      const TraceTask &TT, uint32_t Epoch, bool IsBoot,
-                     std::vector<List> &GL, std::vector<Set> &GS,
-                     std::vector<Map> &GM) {
+                     RegisterFile &R) {
   SemanticProfiler &Prof = RT.profiler();
   CHAM_TRACE_SPAN_ARG("replay", "task", "task", TT.Id);
   Prof.setCurrentTask(TT.Id);
   CallFrame Frame(Prof, S.Frames[TT.FrameIdx]);
 
-  std::vector<List> TL;
-  std::vector<Set> TS;
-  std::vector<Map> TM;
-  std::vector<AdtKind> TempAdt;
+  std::vector<List> &GL = R.GL;
+  std::vector<Set> &GS = R.GS;
+  std::vector<Map> &GM = R.GM;
+  std::vector<List> &TL = R.TL;
+  std::vector<Set> &TS = R.TS;
+  std::vector<Map> &TM = R.TM;
+  std::vector<AdtKind> &TempAdt = R.TempAdt;
 
   TaskTrace Rec;
   const bool Recording = S.Capture != nullptr;
@@ -174,24 +217,30 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
     uint32_t Slot = traceRegSlot(Op.Target);
     if (traceRegIsTemp(Op.Target))
       return TL[Slot];
-    if (GL[Slot].isNull())
+    if (GL[Slot].isNull()) {
       GL[Slot] = RT.adoptList(S.GlobalRefs[Slot]);
+      R.Adopted.push_back(Slot);
+    }
     return GL[Slot];
   };
   auto setAt = [&](const TraceOp &Op) -> Set & {
     uint32_t Slot = traceRegSlot(Op.Target);
     if (traceRegIsTemp(Op.Target))
       return TS[Slot];
-    if (GS[Slot].isNull())
+    if (GS[Slot].isNull()) {
       GS[Slot] = RT.adoptSet(S.GlobalRefs[Slot]);
+      R.Adopted.push_back(Slot);
+    }
     return GS[Slot];
   };
   auto mapAt = [&](const TraceOp &Op) -> Map & {
     uint32_t Slot = traceRegSlot(Op.Target);
     if (traceRegIsTemp(Op.Target))
       return TM[Slot];
-    if (GM[Slot].isNull())
+    if (GM[Slot].isNull()) {
       GM[Slot] = RT.adoptMap(S.GlobalRefs[Slot]);
+      R.Adopted.push_back(Slot);
+    }
     return GM[Slot];
   };
   auto iv = [](int64_t V) { return Value::ofInt(V); };
@@ -208,6 +257,7 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
           TM.resize(Slot + 1);
           TempAdt.resize(Slot + 1, AdtKind::List);
         }
+        R.TempsUsed = std::max(R.TempsUsed, Slot + 1);
         TempAdt[Slot] = Op.Adt;
         switch (Op.Adt) {
         case AdtKind::List:
@@ -351,6 +401,7 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
   if (Recording)
     S.Capture->addTask(IsBoot ? TraceCapture::BootEpoch : Epoch,
                        std::move(Rec.Task));
+  R.endTask();
   return TT.Ops.size();
 }
 
@@ -360,18 +411,15 @@ void replayWorker(CollectionRuntime &RT, ReplayShared &S, ReplayBarrier &B,
                   uint32_t Tid, std::atomic<uint64_t> &OpsOut) {
   MutatorScope Scope(RT);
   uint64_t Ops = 0;
-  const uint32_t Globals = static_cast<uint32_t>(S.GlobalRefs.size());
+  // Every task adopts afresh and drops what it adopted at its end,
+  // mirroring ServerSim's per-request adoptMap/adoptList (adoption is
+  // uncounted, so this is free with respect to the profile).
+  RegisterFile Regs(static_cast<uint32_t>(S.GlobalRefs.size()));
   for (uint32_t Epoch = 0; Epoch < S.T.Epochs.size(); ++Epoch) {
     for (const TraceTask &Task : S.T.Epochs[Epoch]) {
       if (Task.Session % S.Threads != Tid)
         continue;
-      // Fresh adoption slots per task, mirroring ServerSim's per-request
-      // adoptMap/adoptList (adoption is uncounted, so this is free with
-      // respect to the profile).
-      std::vector<List> GL(Globals);
-      std::vector<Set> GS(Globals);
-      std::vector<Map> GM(Globals);
-      Ops += executeTask(RT, S, Task, Epoch, /*IsBoot=*/false, GL, GS, GM);
+      Ops += executeTask(RT, S, Task, Epoch, /*IsBoot=*/false, Regs);
     }
     GcSafeRegion Region(RT.heap());
     std::unique_lock<std::mutex> L(B.Mu);
@@ -482,15 +530,12 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
   S.GlobalAdts.assign(T.Header.Globals, AdtKind::List);
   S.GlobalLive.assign(T.Header.Globals, 0);
 
-  // Boot on the main thread; these handles root the global registers for
-  // the whole run.
-  std::vector<List> BootL(T.Header.Globals);
-  std::vector<Set> BootS(T.Header.Globals);
-  std::vector<Map> BootM(T.Header.Globals);
+  // Boot on the main thread; its file's handles root the global registers
+  // for the whole run.
+  RegisterFile BootRegs(T.Header.Globals);
   uint64_t MainOps = 0;
   if (T.Boot)
-    MainOps += executeTask(RT, S, *T.Boot, 0, /*IsBoot=*/true, BootL, BootS,
-                           BootM);
+    MainOps += executeTask(RT, S, *T.Boot, 0, /*IsBoot=*/true, BootRegs);
 
   ReplayBarrier B;
   std::atomic<uint64_t> WorkerOps{0};

@@ -43,6 +43,14 @@ struct GcCycleRecord {
   uint64_t FreedObjects = 0;
   /// Wall-clock duration of the cycle.
   uint64_t DurationNanos = 0;
+  /// Its split by phase (they sum to DurationNanos): slot-cache flush plus
+  /// profiler drain, mark, sweep, and the emergency slot-table shrink
+  /// (near 0 on cycles without one). Timings, like DurationNanos: never
+  /// part of a deterministic report.
+  uint64_t FlushNanos = 0;
+  uint64_t MarkNanos = 0;
+  uint64_t SweepNanos = 0;
+  uint64_t ShrinkNanos = 0;
   /// Live-size breakdown per type (Table 3 "Type Distribution"); filled
   /// only when the heap's RecordTypeDistribution flag is on.
   std::vector<std::pair<TypeId, uint64_t>> TypeDistribution;

@@ -45,6 +45,13 @@ CHAM_METRIC_HISTOGRAM(GcPauseNanos, "cham.gc.pause_nanos", 10000, 100000,
 // honest p50/p90/p99/p999 tail percentiles (DESIGN.md §16).
 CHAM_METRIC_HDR(GcPauseHdrNanos, "cham.gc.pause_hdr_nanos");
 CHAM_METRIC_HDR(SafepointStallHdrNanos, "cham.gc.safepoint_stall_hdr_nanos");
+// Per-phase split of the pause (GcCycleRecord's phase fields): slot-cache
+// flush plus profiler drain, mark, sweep, and the emergency shrink (only
+// observed on cycles that shrink).
+CHAM_METRIC_HDR(GcFlushHdrNanos, "cham.gc.flush_hdr_nanos");
+CHAM_METRIC_HDR(GcMarkHdrNanos, "cham.gc.mark_hdr_nanos");
+CHAM_METRIC_HDR(GcSweepHdrNanos, "cham.gc.sweep_hdr_nanos");
+CHAM_METRIC_HDR(GcShrinkHdrNanos, "cham.gc.shrink_hdr_nanos");
 
 // Slot-grant side of the allocation substrate (cham.alloc.*, DESIGN.md
 // §12). Hits are tallied per thread (MutatorThread::SlotHits) and drained
@@ -249,10 +256,11 @@ ObjectRef GcHeap::allocate(std::unique_ptr<HeapObject> Obj) {
   // or force a collection at any allocation instant.
   CHAM_FAULT_GC("gc.alloc", *this);
 
-  // Lock-free fast path: a cached slot grant, a placement, and four
-  // relaxed counter bumps. Falls back to the serialised path whenever a
-  // collection trigger is pending (the mirror in allocTriggersPending), so
-  // every trigger decision is still made under AllocMu with stable state.
+  // Lock-free fast path: a cached slot grant, a placement, and the
+  // counter updates (deferred per thread when no trigger is armed). Falls
+  // back to the serialised path whenever a collection trigger is pending
+  // (the mirror in allocTriggersPending), so every trigger decision is
+  // still made under AllocMu with stable state.
   ObjectRef Ref;
   if (UseThreadCaches && allocateFast(Obj, Ref))
     return Ref;
@@ -300,21 +308,49 @@ bool GcHeap::allocTriggersPending(uint64_t Bytes) const {
 bool GcHeap::allocateFast(std::unique_ptr<HeapObject> &Obj,
                           ObjectRef &RefOut) {
   const uint64_t Bytes = Obj->shallowBytes();
-  if (allocTriggersPending(Bytes))
-    return false;
   MutatorThread &M = rootOwner();
+  // A registered mutator on a heap with no trigger armed defers its
+  // counter updates to its own record: no trigger decision reads them
+  // before the next fold (DESIGN.md §12.3). Everywhere else the four
+  // shared counters move here, exactly as the locked path moves them.
+  const bool Defer = &M != &Main && !allocTriggersArmed();
+  if (!Defer && allocTriggersPending(Bytes))
+    return false;
   const uint32_t Slot = grantSlot(M);
   std::unique_ptr<HeapObject> &Cell = slotRef(Slot);
   assert(!Cell && "granted slot still occupied");
   Cell = std::move(Obj);
   HeapObject &Placed = *Cell;
   Placed.Self = ObjectRef::fromSlot(Slot);
-  BytesInUse.fetch_add(Bytes, std::memory_order_relaxed);
-  ObjectsInUse.fetch_add(1, std::memory_order_relaxed);
-  TotalAllocatedBytes.fetch_add(Bytes, std::memory_order_relaxed);
-  TotalAllocatedObjects.fetch_add(1, std::memory_order_relaxed);
+  if (Defer) {
+    M.PendingAllocBytes += Bytes;
+    ++M.PendingAllocObjects;
+  } else {
+    BytesInUse.fetch_add(Bytes, std::memory_order_relaxed);
+    ObjectsInUse.fetch_add(1, std::memory_order_relaxed);
+    TotalAllocatedBytes.fetch_add(Bytes, std::memory_order_relaxed);
+    TotalAllocatedObjects.fetch_add(1, std::memory_order_relaxed);
+  }
   RefOut = Placed.Self;
   return true;
+}
+
+void GcHeap::foldPendingAllocs(MutatorThread &M) {
+  if (M.PendingAllocObjects == 0)
+    return;
+  BytesInUse.fetch_add(M.PendingAllocBytes, std::memory_order_relaxed);
+  ObjectsInUse.fetch_add(M.PendingAllocObjects, std::memory_order_relaxed);
+  TotalAllocatedBytes.fetch_add(M.PendingAllocBytes,
+                                std::memory_order_relaxed);
+  TotalAllocatedObjects.fetch_add(M.PendingAllocObjects,
+                                  std::memory_order_relaxed);
+  M.PendingAllocBytes = 0;
+  M.PendingAllocObjects = 0;
+}
+
+void GcHeap::foldAllPendingAllocs() {
+  for (const std::unique_ptr<MutatorThread> &Mut : Mutators)
+    foldPendingAllocs(*Mut);
 }
 
 uint32_t GcHeap::grantSlot(MutatorThread &M) {
@@ -385,6 +421,7 @@ void GcHeap::flushSlotCache(MutatorThread &M, bool StoppedWorld) {
     AllocSlotCacheHits.add(M.SlotHits);
     M.SlotHits = 0;
   }
+  foldPendingAllocs(M);
 }
 
 void GcHeap::flushAllSlotCaches() {
@@ -978,7 +1015,13 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
   InCollection = true;
   CHAM_TRACE_SPAN_ARG("gc", "cycle", "cycle",
                       static_cast<int64_t>(CycleRecords.size() + 1));
-  auto Start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  auto NanosBetween = [](Clock::time_point From, Clock::time_point To) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(To - From)
+            .count());
+  };
+  const Clock::time_point Start = Clock::now();
 
   // Return every thread's ungranted cached slots first (un-bumping the
   // frontier where possible): the slot table then looks exactly as if the
@@ -995,28 +1038,34 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
   GcCycleRecord Record;
   Record.Cycle = CycleRecords.size() + 1;
   Record.Forced = Forced;
+  const Clock::time_point Flushed = Clock::now();
 
   {
     CHAM_TRACE_SPAN("gc", "mark");
     markPhase(Record);
   }
+  const Clock::time_point Marked = Clock::now();
   {
     CHAM_TRACE_SPAN("gc", "sweep");
     sweepPhase(Record);
   }
+  const Clock::time_point Swept = Clock::now();
 
   // Deferred emergency shrink (see allocateLocked): caches are flushed and
   // the world is stopped, so trimming FreeSlots and the published count
   // cannot race a refill.
-  if (PendingShrink) {
+  const bool Shrinks = PendingShrink;
+  if (Shrinks) {
     PendingShrink = false;
     shrinkSlotTable();
   }
 
-  auto End = std::chrono::steady_clock::now();
-  Record.DurationNanos = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-          .count());
+  const Clock::time_point End = Clock::now();
+  Record.DurationNanos = NanosBetween(Start, End);
+  Record.FlushNanos = NanosBetween(Start, Flushed);
+  Record.MarkNanos = NanosBetween(Flushed, Marked);
+  Record.SweepNanos = NanosBetween(Marked, Swept);
+  Record.ShrinkNanos = NanosBetween(Swept, End);
 
   GcCycles.inc();
   if (Forced)
@@ -1025,6 +1074,11 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
   GcFreedObjects.add(Record.FreedObjects);
   GcPauseNanos.observe(Record.DurationNanos);
   GcPauseHdrNanos.observe(Record.DurationNanos);
+  GcFlushHdrNanos.observe(Record.FlushNanos);
+  GcMarkHdrNanos.observe(Record.MarkNanos);
+  GcSweepHdrNanos.observe(Record.SweepNanos);
+  if (Shrinks)
+    GcShrinkHdrNanos.observe(Record.ShrinkNanos);
   GcBytesInUse.set(static_cast<int64_t>(bytesInUse()));
   GcObjectsInUse.set(static_cast<int64_t>(objectsInUse()));
 
@@ -1062,6 +1116,19 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
 //===----------------------------------------------------------------------===//
 // Verification
 //===----------------------------------------------------------------------===//
+
+size_t GcHeap::rootCount() const {
+  auto SegmentRoots = [](const MutatorThread &Mut) {
+    size_t N = 0;
+    for (const RootNode *Node = Mut.RootsHead.Next; Node; Node = Node->Next)
+      ++N;
+    return N;
+  };
+  size_t N = SegmentRoots(Main);
+  for (const std::unique_ptr<MutatorThread> &Mut : Mutators)
+    N += SegmentRoots(*Mut);
+  return N;
+}
 
 namespace {
 /// Tracer that validates outgoing references instead of marking.

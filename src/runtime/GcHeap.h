@@ -111,6 +111,15 @@ struct MutatorThread {
   /// Plain tally of cache-served grants, drained into the registry's
   /// cham.alloc.slot_cache_hits at refills and flushes.
   uint64_t SlotHits = 0;
+
+  /// -- Deferred allocation accounting (DESIGN.md §12.3) --------------------
+  /// Bytes / objects this registered mutator allocated on the fast path
+  /// of a heap with no allocation trigger armed, not yet added to the
+  /// heap's shared counters. Folded in by flushSlotCache (every
+  /// stop-the-world, unregistration, mode switch) and before any trigger
+  /// is armed. Owned like the slot cache.
+  uint64_t PendingAllocBytes = 0;
+  uint64_t PendingAllocObjects = 0;
 };
 
 /// A managed heap. Single-threaded by default; N mutator threads are
@@ -137,7 +146,13 @@ public:
   void setProfilerHooks(HeapProfilerHooks *NewHooks) { Hooks = NewHooks; }
 
   /// Changes the heap limit (0 = unlimited). Does not trigger a collection.
-  void setHeapLimit(uint64_t Bytes) { HeapLimitBytes = Bytes; }
+  /// Like every trigger setter (soft limit, sample cadence), call it only
+  /// while no registered mutator is running: it folds their deferred
+  /// allocation counts first, so the trigger starts from exact counters.
+  void setHeapLimit(uint64_t Bytes) {
+    foldAllPendingAllocs();
+    HeapLimitBytes = Bytes;
+  }
   uint64_t heapLimit() const { return HeapLimitBytes; }
 
   /// Soft heap limit (0 = none), the graceful-degradation threshold below
@@ -148,7 +163,10 @@ public:
   /// back under the limit with 1/8 hysteresis headroom the hooks get
   /// `onHeapPressureCleared`. Unlike the hard limit, crossing the soft
   /// limit is never an error.
-  void setSoftHeapLimit(uint64_t Bytes) { SoftLimitBytes = Bytes; }
+  void setSoftHeapLimit(uint64_t Bytes) {
+    foldAllPendingAllocs();
+    SoftLimitBytes = Bytes;
+  }
   uint64_t softHeapLimit() const { return SoftLimitBytes; }
 
   /// Number of emergency (soft-limit) collections so far.
@@ -171,7 +189,10 @@ public:
   /// this many bytes have been allocated. Profiled runs use it so that the
   /// per-cycle collection statistics of Table 3 accumulate even when the
   /// heap limit alone would trigger few collections.
-  void setGcSampleEveryBytes(uint64_t Bytes) { GcSampleEveryBytes = Bytes; }
+  void setGcSampleEveryBytes(uint64_t Bytes) {
+    foldAllPendingAllocs();
+    GcSampleEveryBytes = Bytes;
+  }
 
   /// When set, each cycle record carries a per-type live-size breakdown
   /// (Table 3 "Type Distribution"). Off by default: it costs a vector per
@@ -358,6 +379,18 @@ public:
   /// reuse a heap; fresh heaps are the common case).
   void clearOutOfMemory() { OomFlag.store(false, std::memory_order_relaxed); }
 
+  /// Number of GC roots linked into every thread's root segment (handles,
+  /// not temp roots). Introspection for root-hygiene checks; reads other
+  /// threads' segments, so call it only while every registered mutator is
+  /// stopped or parked, or none is registered.
+  size_t rootCount() const;
+
+  /// The allocation counters below are exact on a single-threaded heap, at
+  /// every stop-the-world and once the mutators have unregistered. While
+  /// registered mutators run on a heap with no allocation trigger armed,
+  /// their fast-path allocations are tallied per thread and folded in at
+  /// those points (DESIGN.md §12.3).
+
   /// Bytes currently occupied by allocated (not yet swept) objects.
   uint64_t bytesInUse() const {
     return BytesInUse.load(std::memory_order_relaxed);
@@ -444,9 +477,24 @@ private:
   void flushAllSlotCaches();
 
   /// Lock-free fast path: grants a cached slot and places the object
-  /// without AllocMu. Returns false when a trigger is pending or the cache
-  /// machinery is off, in which case the caller takes the locked path.
+  /// without AllocMu. Returns false when a trigger is pending, in which
+  /// case the caller takes the locked path.
   bool allocateFast(std::unique_ptr<HeapObject> &Obj, ObjectRef &RefOut);
+
+  /// True when any allocation-time collection trigger can fire (hard or
+  /// soft limit, sample cadence, pressure state). With none armed nothing
+  /// reads the allocation counters between stop-the-worlds, which is what
+  /// lets registered mutators defer their counter updates.
+  bool allocTriggersArmed() const {
+    return HeapLimitBytes != 0 || SoftLimitBytes != 0
+           || GcSampleEveryBytes != 0
+           || UnderPressure.load(std::memory_order_relaxed);
+  }
+  /// Adds M's deferred allocation counts to the shared counters.
+  void foldPendingAllocs(MutatorThread &M);
+  /// Folds every registered mutator's deferred counts; no mutator may be
+  /// running (the trigger setters call it).
+  void foldAllPendingAllocs();
 
   /// Returns trailing all-empty slot-table capacity to the OS analogue:
   /// trims the published slot count past the last live slot, drops the

@@ -9,12 +9,15 @@
 /// end: a recorded ServerSim run replays to a byte-identical profiling
 /// report at MutatorThreads 1, 2, and 8 — including through a file
 /// round-trip — and recording itself does not perturb the recorded run.
+/// Zoo traces replay with clean root hygiene: at every epoch barrier the
+/// only roots left are the boot task's global handles.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "apps/ServerSim.h"
 #include "apps/TraceFormat.h"
 #include "apps/TraceWorkload.h"
+#include "apps/WorkloadGen.h"
 
 #include <gtest/gtest.h>
 
@@ -98,6 +101,54 @@ TEST(TraceReplay, ReplayRejectsInvalidTraces) {
   EXPECT_FALSE(R.Ok);
   EXPECT_FALSE(R.Error.empty());
   EXPECT_TRUE(R.Report.empty());
+}
+
+/// Global registers the boot task allocates: the handles that root the
+/// server's long-lived state for the whole replay.
+size_t bootGlobalHandles(const Trace &T) {
+  size_t N = 0;
+  if (T.Boot)
+    for (const TraceOp &Op : T.Boot->Ops)
+      N += Op.Code == TraceOpCode::Alloc && !traceRegIsTemp(Op.Target);
+  return N;
+}
+
+/// Every task adopts the globals it touches and drops them at its end, so
+/// at each barrier no adoption outlives its task: the root count is the
+/// boot's global handle count at every thread count, the heap verifies,
+/// and the report stays byte-identical.
+TEST(TraceReplay, AdoptedHandlesNeverOutliveTheirTask) {
+  WorkloadGenConfig Gen;
+  applyWorkloadScale(WorkloadScale::Ci, Gen);
+  for (Trace (*Generate)(const WorkloadGenConfig &) :
+       {&generateZipfTrace, &generatePhaseShiftTrace}) {
+    const Trace T = Generate(Gen);
+    const size_t BootHandles = bootGlobalHandles(T);
+    ASSERT_GT(BootHandles, 0u) << T.Header.Generator;
+    std::string FirstReport;
+    for (uint32_t Threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(T.Header.Generator + " MutatorThreads="
+                   + std::to_string(Threads));
+      ReplayConfig Config;
+      Config.MutatorThreads = Threads;
+      uint32_t Barriers = 0;
+      Config.OnEpochBarrier = [&](uint32_t Epoch, CollectionRuntime &RT) {
+        ++Barriers;
+        EXPECT_EQ(RT.heap().rootCount(), BootHandles) << "epoch " << Epoch;
+        std::string Error;
+        EXPECT_TRUE(RT.heap().verifyHeap(&Error))
+            << "epoch " << Epoch << ": " << Error;
+      };
+      CollectionRuntime RT(traceReplayRuntimeConfig(Config));
+      ReplayResult R = replayTrace(RT, T, Config);
+      ASSERT_TRUE(R.Ok) << R.Error;
+      EXPECT_EQ(Barriers, T.Header.Epochs);
+      if (FirstReport.empty())
+        FirstReport = R.Report;
+      else
+        EXPECT_EQ(R.Report, FirstReport);
+    }
+  }
 }
 
 } // namespace

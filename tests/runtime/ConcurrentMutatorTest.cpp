@@ -19,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -274,6 +276,103 @@ TEST(ConcurrentMutator, DeathFoldsExactUnderConcurrentRetire) {
   EXPECT_EQ(Ctx.foldedInstances(),
             static_cast<uint64_t>(Threads) * PerThread)
       << "each instance must fold exactly once (retire + sweep idempotent)";
+}
+
+/// Independent recount of the heap's occupied slots.
+std::pair<uint64_t, uint64_t> recountHeap(GcHeap &Heap) {
+  uint64_t Bytes = 0, Objects = 0;
+  Heap.forEachObject([&](HeapObject &Obj) {
+    Bytes += Obj.shallowBytes();
+    ++Objects;
+  });
+  return {Bytes, Objects};
+}
+
+/// Asserts every allocation counter is exact: in-use counts match the
+/// recount (and verifyHeap's), and everything allocated is either in use
+/// or was freed by a recorded cycle.
+void expectExactCounters(GcHeap &Heap, const std::string &Where) {
+  SCOPED_TRACE(Where);
+  const auto [Bytes, Objects] = recountHeap(Heap);
+  EXPECT_EQ(Heap.bytesInUse(), Bytes);
+  EXPECT_EQ(Heap.objectsInUse(), Objects);
+  uint64_t FreedBytes = 0, FreedObjects = 0;
+  for (const GcCycleRecord &Rec : Heap.cycles()) {
+    FreedBytes += Rec.FreedBytes;
+    FreedObjects += Rec.FreedObjects;
+  }
+  EXPECT_EQ(Heap.totalAllocatedBytes(), Bytes + FreedBytes);
+  EXPECT_EQ(Heap.totalAllocatedObjects(), Objects + FreedObjects);
+  std::string Error;
+  EXPECT_TRUE(Heap.verifyHeap(&Error)) << Error;
+}
+
+TEST(ConcurrentMutator, DeferredAllocCountsExactAtEveryFold) {
+  // No allocation trigger armed (the server configuration): registered
+  // mutators tally their fast-path allocations per thread, and the heap's
+  // counters must be exact again at every barrier collection and after
+  // the mutators unregister (DESIGN.md §12.3).
+  RuntimeConfig Config;
+  Config.Profiler.ConcurrentMutators = true;
+  Config.HeapLimitBytes = 0;
+  Config.GcSampleEveryBytes = 0;
+  Config.SoftHeapLimitBytes = 0;
+  CollectionRuntime RT(Config);
+  GcHeap &Heap = RT.heap();
+
+  constexpr unsigned Threads = 4;
+  constexpr unsigned Rounds = 5;
+  std::mutex Mu;
+  std::condition_variable Cv;
+  unsigned Arrived = 0;
+  unsigned Generation = 0;
+
+  std::vector<std::thread> Workers;
+  for (unsigned Tid = 0; Tid < Threads; ++Tid)
+    Workers.emplace_back([&, Tid] {
+      MutatorScope Scope(RT);
+      FrameId Site = RT.site("cm.deferred:" + std::to_string(Tid));
+      std::vector<List> Kept;
+      for (unsigned Round = 0; Round < Rounds; ++Round) {
+        // Drop last round's survivors, so every sweep frees something.
+        Kept.clear();
+        for (int I = 0; I < 200; ++I) {
+          List L = RT.newArrayList(Site, 2);
+          for (int E = 0; E < 3 + I % 5; ++E)
+            L.add(Value::ofInt(E));
+          if (I % 4 == 0)
+            Kept.push_back(std::move(L));
+        }
+        GcSafeRegion Region(Heap);
+        std::unique_lock<std::mutex> L(Mu);
+        const unsigned Gen = Generation;
+        ++Arrived;
+        Cv.notify_all();
+        Cv.wait(L, [&] { return Generation != Gen; });
+      }
+    });
+
+  for (unsigned Round = 0; Round < Rounds; ++Round) {
+    {
+      std::unique_lock<std::mutex> L(Mu);
+      Cv.wait(L, [&] { return Arrived == Threads; });
+    }
+    // The workers' tallies are still pending here: the shared counters
+    // lag the heap until the collection folds them.
+    EXPECT_LT(Heap.objectsInUse(), recountHeap(Heap).second);
+    Heap.collect(/*Forced=*/true);
+    expectExactCounters(Heap, "barrier " + std::to_string(Round));
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      Arrived = 0;
+      ++Generation;
+      Cv.notify_all();
+    }
+  }
+  for (std::thread &W : Workers)
+    W.join();
+  expectExactCounters(Heap, "after unregister");
+  EXPECT_EQ(Heap.cycleCount(), Rounds);
 }
 
 } // namespace

@@ -237,4 +237,29 @@ TEST_F(GcHeapTest, CycleRecordFractionsComputed) {
   EXPECT_DOUBLE_EQ(Empty.collectionLiveFraction(), 0.0);
 }
 
+TEST_F(GcHeapTest, CycleRecordSplitsThePauseByPhase) {
+  Handle Root(Heap, allocNode(Heap, NodeType, 0, 16));
+  for (int I = 0; I < 64; ++I)
+    allocNode(Heap, NodeType, 0, 16); // garbage
+  const GcCycleRecord &Rec = Heap.collect(/*Forced=*/true);
+  EXPECT_EQ(Rec.FlushNanos + Rec.MarkNanos + Rec.SweepNanos
+                + Rec.ShrinkNanos,
+            Rec.DurationNanos);
+  EXPECT_GT(Rec.MarkNanos, 0u);
+  EXPECT_GT(Rec.SweepNanos, 0u);
+}
+
+TEST_F(GcHeapTest, RootCountTracksHandles) {
+  EXPECT_EQ(Heap.rootCount(), 0u);
+  Handle A(Heap, allocNode(Heap, NodeType, 0));
+  {
+    Handle B(Heap, allocNode(Heap, NodeType, 0));
+    Handle Copy = A;
+    EXPECT_EQ(Heap.rootCount(), 3u);
+  }
+  EXPECT_EQ(Heap.rootCount(), 1u);
+  A.reset();
+  EXPECT_EQ(Heap.rootCount(), 0u);
+}
+
 } // namespace

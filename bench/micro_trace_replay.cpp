@@ -1,28 +1,27 @@
-//===--- micro_trace_replay.cpp - Record overhead & replay rate -*- C++ -*-===//
+//===--- micro_trace_replay.cpp - Trace engine costs ------------*- C++ -*-===//
 //
 // Part of the Chameleon-CXX project, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cost side of the trace record/replay engine (DESIGN.md §14).
-/// Four measurements:
+/// The cost side of the trace execution engine (DESIGN.md §14). Four
+/// measurements, each the median of 5 runs (3 with `--quick`) reported
+/// with its min and max:
 ///
-///  1. Per-hook cost of a disarmed recording hook: ServerSim's handlers
-///     carry one `if (Rec)` null check per collection op. A tight loop
-///     over that check minus the same loop without it, times the exact
-///     hooks-per-request count read back from a recorded trace, divided
-///     by the per-request time. This is the only cost normal runs ever
-///     pay; the headline claim is that it stays under 2%.
-///  2. Armed recording overhead: the same run with a TraceCapture armed
-///     vs disarmed. Recording is a diagnostic mode — record once, replay
-///     many — so this is reported as a trajectory number, not a budget.
-///  3. Replay throughput: ops/s feeding the recorded trace back through
-///     the mutator pool at 1 and 4 threads.
+///  1. ServerSim wall time (`sim_ms`): one `runServerSim` at 1 mutator
+///     thread — generate the request stream as a trace, validate it, and
+///     replay it.
+///  2. Armed recording overhead: the same run with a TraceCapture armed,
+///     so the replay re-records every executed op. Recording is a
+///     diagnostic mode — record once, replay many — so this is a
+///     trajectory number, not a budget.
+///  3. Replay throughput: ops/s replaying the recorded trace at 1 and 4
+///     threads.
 ///  4. Serialization rates a soak loop pays (write/read MiB/s).
 ///
 /// `--json <path>` (or CHAMELEON_BENCH_JSON) writes the BENCH_trace.json
-/// perf-trajectory record; `--quick` shrinks the run for sanitizer CI.
+/// perf-trajectory record; `--quick` shrinks the run for CI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,16 +36,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 using namespace chameleon;
 using namespace chameleon::apps;
 
 namespace {
 
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
+using Clock = std::chrono::steady_clock;
+
+double secondsSince(Clock::time_point Start) {
+  return std::chrono::duration<double>(Clock::now() - Start).count();
 }
 
 /// One mutator thread: the record-overhead pair must not be polluted by
@@ -61,76 +61,62 @@ ServerSimConfig benchSimConfig(bool Quick) {
   return Config;
 }
 
-/// Nanoseconds one disarmed recording hook adds to a loop iteration: the
-/// `if (Rec)` null check ServerSim's handlers execute per collection op.
-/// The pointer is re-read through a volatile each iteration so the check
-/// cannot be hoisted, matching the real hook (Rec is a live parameter).
-double disarmedHookNs(uint64_t Iters) {
-  TaskTrace *volatile RecSlot = nullptr;
-  volatile uint64_t Sink = 0;
+/// Median of a sample set, with its extremes.
+struct Spread {
+  double Median = 0;
+  double Min = 0;
+  double Max = 0;
+};
 
-  auto Start = std::chrono::steady_clock::now();
-  for (uint64_t I = 0; I < Iters; ++I) {
-    TaskTrace *Rec = RecSlot;
-    if (Rec)
-      Rec->op0(TraceOpCode::Size, 0);
-    Sink = Sink + I;
-  }
-  double WithHook = secondsSince(Start);
-
-  Start = std::chrono::steady_clock::now();
-  for (uint64_t I = 0; I < Iters; ++I)
-    Sink = Sink + I;
-  double Bare = secondsSince(Start);
-
-  double Delta = (WithHook - Bare) / static_cast<double>(Iters) * 1e9;
-  return Delta > 0 ? Delta : 0.0;
+Spread spreadOf(std::vector<double> Samples) {
+  std::sort(Samples.begin(), Samples.end());
+  return {Samples[Samples.size() / 2], Samples.front(), Samples.back()};
 }
 
-/// Wall seconds of one ServerSim run, optionally recording.
-double simSeconds(const ServerSimConfig &Base, TraceCapture *Capture) {
+/// Runs \p Fn \p Reps times; \p Fn returns one sample.
+template <typename FnT> Spread measure(int Reps, FnT Fn) {
+  std::vector<double> Samples;
+  for (int I = 0; I < Reps; ++I)
+    Samples.push_back(Fn());
+  return spreadOf(std::move(Samples));
+}
+
+/// Milliseconds of one ServerSim run, optionally recording.
+double simMs(const ServerSimConfig &Base, TraceCapture *Capture) {
   ServerSimConfig Config = Base;
   Config.RecordTo = Capture;
   CollectionRuntime RT(serverSimRuntimeConfig());
-  auto Start = std::chrono::steady_clock::now();
+  Clock::time_point Start = Clock::now();
   runServerSim(RT, Config);
-  return secondsSince(Start);
+  return secondsSince(Start) * 1e3;
 }
 
-double medianOf(std::vector<double> Samples) {
-  std::sort(Samples.begin(), Samples.end());
-  return Samples[Samples.size() / 2];
-}
-
-/// Median run time over \p Reps runs (recording when \p Record).
-double medianSimSeconds(const ServerSimConfig &Base, bool Record, int Reps) {
-  std::vector<double> Samples;
-  for (int I = 0; I < Reps; ++I) {
-    TraceCapture Capture;
-    Samples.push_back(simSeconds(Base, Record ? &Capture : nullptr));
-    if (Record)
-      Capture.finish();
+/// Ops/s of one replay of \p T at \p Threads.
+double replayOpsPerSec(const Trace &T, uint32_t Threads) {
+  ReplayConfig Config;
+  Config.MutatorThreads = Threads;
+  CollectionRuntime RT(traceReplayRuntimeConfig(Config));
+  Clock::time_point Start = Clock::now();
+  ReplayResult R = replayTrace(RT, T, Config);
+  double Secs = secondsSince(Start);
+  if (!R.Ok) {
+    std::fprintf(stderr, "replay failed: %s\n", R.Error.c_str());
+    std::exit(1);
   }
-  return medianOf(std::move(Samples));
+  return static_cast<double>(R.Ops) / Secs;
 }
 
-/// Replay ops/s at \p Threads (median over \p Reps).
-double replayOpsPerSec(const Trace &T, uint32_t Threads, int Reps) {
-  std::vector<double> Samples;
-  for (int I = 0; I < Reps; ++I) {
-    ReplayConfig Config;
-    Config.MutatorThreads = Threads;
-    CollectionRuntime RT(traceReplayRuntimeConfig(Config));
-    auto Start = std::chrono::steady_clock::now();
-    ReplayResult R = replayTrace(RT, T, Config);
-    double Secs = secondsSince(Start);
-    if (!R.Ok) {
-      std::fprintf(stderr, "replay failed: %s\n", R.Error.c_str());
-      std::exit(1);
-    }
-    Samples.push_back(static_cast<double>(R.Ops) / Secs);
-  }
-  return medianOf(std::move(Samples));
+std::vector<std::string> row(const std::string &Name, const Spread &S,
+                             int Decimals) {
+  return {Name, formatDouble(S.Median, Decimals), formatDouble(S.Min, Decimals),
+          formatDouble(S.Max, Decimals)};
+}
+
+void addSpread(bench::JsonDoc &Json, const std::string &Key,
+               const Spread &S) {
+  Json.field(Key, S.Median);
+  Json.field(Key + "_min", S.Min);
+  Json.field(Key + "_max", S.Max);
 }
 
 } // namespace
@@ -142,94 +128,85 @@ int main(int argc, char **argv) {
       Quick = true;
 
   const int Reps = Quick ? 3 : 5;
-  const uint64_t HookIters = Quick ? 2'000'000 : 20'000'000;
+  const unsigned Cores = std::thread::hardware_concurrency();
   ServerSimConfig Base = benchSimConfig(Quick);
-  const uint64_t Requests =
-      static_cast<uint64_t>(Base.Epochs) * Base.RequestsPerEpoch;
 
-  std::printf("== micro: trace record overhead & replay throughput ==\n\n");
+  std::printf("== micro: ServerSim, trace record & replay ==\n");
+  std::printf("host cores: %u, %d runs per figure, %u sessions x %u epochs x"
+              " %u requests\n\n",
+              Cores, Reps, Base.Sessions, Base.Epochs, Base.RequestsPerEpoch);
 
   // Warm-up run (first-touch allocator and page costs land here).
-  (void)simSeconds(Base, nullptr);
+  (void)simMs(Base, nullptr);
 
-  double HookNs = disarmedHookNs(HookIters);
-  double Disarmed = medianSimSeconds(Base, /*Record=*/false, Reps);
-  double Armed = medianSimSeconds(Base, /*Record=*/true, Reps);
-  double ArmedOverheadPct = (Armed / Disarmed - 1.0) * 100.0;
+  Spread Sim = measure(Reps, [&] { return simMs(Base, nullptr); });
+  Spread Recording = measure(Reps, [&] {
+    TraceCapture Capture;
+    double Ms = simMs(Base, &Capture);
+    (void)Capture.finish();
+    return Ms;
+  });
+  double RecordOverheadPct = (Recording.Median / Sim.Median - 1.0) * 100.0;
 
-  // One recorded trace supplies the exact hooks-per-request count and
-  // feeds the replay and serialization measurements.
+  // One recorded trace feeds the replay and serialization measurements.
   TraceCapture Capture;
-  (void)simSeconds(Base, &Capture);
+  (void)simMs(Base, &Capture);
   Trace T = Capture.finish();
-  double HooksPerRequest =
-      static_cast<double>(T.opCount()) / static_cast<double>(Requests);
-  double RequestNs = Disarmed * 1e9 / static_cast<double>(Requests);
-  double DisarmedOverheadPct = HookNs * HooksPerRequest / RequestNs * 100.0;
 
-  TextTable RecordTable({"recorder", "run ms", "vs disarmed"});
-  RecordTable.addRow({"disarmed", formatDouble(Disarmed * 1e3, 2), "1.00x"});
-  RecordTable.addRow({"armed (recording)", formatDouble(Armed * 1e3, 2),
-                      formatDouble(Armed / Disarmed, 3) + "x"});
-  std::printf("%s\n", RecordTable.render().c_str());
+  Spread Replay1 = measure(Reps, [&] { return replayOpsPerSec(T, 1); });
+  Spread Replay4 = measure(Reps, [&] { return replayOpsPerSec(T, 4); });
 
-  std::printf("disarmed hook: %s ns x %s hooks/request over %s ns/request"
-              " = %s%% overhead\n",
-              formatDouble(HookNs, 3).c_str(),
-              formatDouble(HooksPerRequest, 1).c_str(),
-              formatDouble(RequestNs, 0).c_str(),
-              formatDouble(DisarmedOverheadPct, 3).c_str());
-  std::printf("\nheadline: the recording hooks left compiled into ServerSim"
-              " cost %s%%\nwhen disarmed (budget: <= 2%%) — recording costs"
-              " nothing until a capture\nis armed. Armed recording adds"
-              " %s%% and is paid once per recorded trace.\n",
-              formatDouble(DisarmedOverheadPct, 3).c_str(),
-              formatDouble(ArmedOverheadPct, 1).c_str());
-  if (DisarmedOverheadPct >= 2.0)
-    std::printf("WARNING: disarmed overhead claim violated (%.3f%% >= 2%%)\n",
-                DisarmedOverheadPct);
-
-  double Replay1 = replayOpsPerSec(T, 1, Reps);
-  double Replay4 = replayOpsPerSec(T, 4, Reps);
-
-  auto Start = std::chrono::steady_clock::now();
   std::string Bytes = writeTrace(T);
-  double WriteSecs = secondsSince(Start);
-  Trace Back;
-  Start = std::chrono::steady_clock::now();
-  if (!readTrace(Bytes, Back)) {
-    std::fprintf(stderr, "re-read of the serialized trace failed\n");
-    return 1;
-  }
-  double ReadSecs = secondsSince(Start);
-  double Mb = static_cast<double>(Bytes.size()) / (1024.0 * 1024.0);
+  const double Mb = static_cast<double>(Bytes.size()) / (1024.0 * 1024.0);
+  Spread Write = measure(Reps, [&] {
+    Clock::time_point Start = Clock::now();
+    std::string Out = writeTrace(T);
+    return Mb / secondsSince(Start);
+  });
+  Spread Read = measure(Reps, [&] {
+    Trace Back;
+    Clock::time_point Start = Clock::now();
+    if (!readTrace(Bytes, Back)) {
+      std::fprintf(stderr, "re-read of the serialized trace failed\n");
+      std::exit(1);
+    }
+    return Mb / secondsSince(Start);
+  });
 
-  TextTable ReplayTable({"measurement", "value"});
-  ReplayTable.addRow({"replay ops/s (1 thread)", formatDouble(Replay1, 0)});
-  ReplayTable.addRow({"replay ops/s (4 threads)", formatDouble(Replay4, 0)});
-  ReplayTable.addRow({"trace size", formatDouble(Mb, 2) + " MiB"});
-  ReplayTable.addRow({"serialize", formatDouble(Mb / WriteSecs, 1) + " MiB/s"});
-  ReplayTable.addRow({"deserialize", formatDouble(Mb / ReadSecs, 1) + " MiB/s"});
-  std::printf("\n%s\n", ReplayTable.render().c_str());
+  TextTable Table({"measurement", "median", "min", "max"});
+  Table.addRow(row("sim ms (generate+validate+replay)", Sim, 2));
+  Table.addRow(row("sim ms, recording", Recording, 2));
+  Table.addRow(row("replay ops/s (1 thread)", Replay1, 0));
+  Table.addRow(row("replay ops/s (4 threads)", Replay4, 0));
+  Table.addRow(row("serialize MiB/s", Write, 1));
+  Table.addRow(row("deserialize MiB/s", Read, 1));
+  std::printf("%s\n", Table.render().c_str());
+  std::printf("recording adds %s%% to a ServerSim run; trace size %s MiB\n",
+              formatDouble(RecordOverheadPct, 1).c_str(),
+              formatDouble(Mb, 2).c_str());
 
   bench::JsonDoc Json;
   Json.field("bench", "micro_trace_replay");
   bench::addProvenance(Json);
-  Json.field("disarmed_hook_ns", HookNs);
-  Json.field("hooks_per_request", HooksPerRequest);
-  Json.field("disarmed_overhead_pct", DisarmedOverheadPct);
-  Json.field("record_overhead_pct", ArmedOverheadPct);
-  Json.field("sim_ms_disarmed", Disarmed * 1e3);
-  Json.field("sim_ms_recording", Armed * 1e3);
+  Json.field("cores", static_cast<uint64_t>(Cores));
+  Json.field("runs", static_cast<uint64_t>(Reps));
+  Json.field("sessions", static_cast<uint64_t>(Base.Sessions));
+  Json.field("epochs", static_cast<uint64_t>(Base.Epochs));
+  Json.field("requests_per_epoch",
+             static_cast<uint64_t>(Base.RequestsPerEpoch));
+  addSpread(Json, "sim_ms", Sim);
+  addSpread(Json, "sim_ms_recording", Recording);
+  Json.field("record_overhead_pct", RecordOverheadPct);
   Json.field("trace_bytes", static_cast<uint64_t>(Bytes.size()));
-  Json.field("write_mib_per_sec", Mb / WriteSecs);
-  Json.field("read_mib_per_sec", Mb / ReadSecs);
-  Json.beginRecord("replay_throughput");
-  Json.record("threads", static_cast<uint64_t>(1));
-  Json.record("ops_per_sec", Replay1);
-  Json.beginRecord("replay_throughput");
-  Json.record("threads", static_cast<uint64_t>(4));
-  Json.record("ops_per_sec", Replay4);
+  addSpread(Json, "write_mib_per_sec", Write);
+  addSpread(Json, "read_mib_per_sec", Read);
+  for (const auto &[Threads, S] : {std::pair{1u, Replay1}, {4u, Replay4}}) {
+    Json.beginRecord("replay_throughput");
+    Json.record("threads", static_cast<uint64_t>(Threads));
+    Json.record("ops_per_sec", S.Median);
+    Json.record("ops_per_sec_min", S.Min);
+    Json.record("ops_per_sec_max", S.Max);
+  }
 
   std::string JsonPath = bench::jsonOutputPath(argc, argv);
   if (!JsonPath.empty()) {

@@ -7,19 +7,18 @@
 #include "apps/ServerSim.h"
 
 #include "apps/TraceWorkload.h"
-#include "core/OnlineAdaptor.h"
+#include "collections/Wrapper.h"
 #include "obs/DecisionLog.h"
 #include "obs/FlightRecorder.h"
-#include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "support/FaultInjector.h"
+#include "support/Format.h"
 #include "support/SplitMix64.h"
 
-#include <condition_variable>
-#include <cstdarg>
+#include <bit>
+#include <cassert>
 #include <cstdio>
-#include <mutex>
-#include <thread>
+#include <optional>
 #include <vector>
 
 using namespace chameleon;
@@ -29,10 +28,8 @@ namespace {
 
 constexpr uint64_t Gamma = 0x9E3779B97F4A7C15ULL;
 
-/// Indices into the recorded trace's frame table — the profiler intern
-/// order of runServerSim's frames and sites. The replayer re-interns the
-/// table in this order on a fresh runtime, which is what pins FrameIds
-/// (and so context identities) to the recording run's values.
+/// Indices into the trace's frame table, in the profiler intern order the
+/// replay pins FrameIds (and so context identities) to.
 enum ServerSimFrame : uint32_t {
   FrameLogin = 0,
   FrameQuery = 1,
@@ -56,377 +53,219 @@ const char *const ServerSimFrameLabels[NumServerSimFrames] = {
     "Server.boot",
 };
 
-/// Epoch barrier. Workers park inside a GcSafeRegion while they wait so
-/// the main thread can stop the world (flush + forced GC) between epochs.
-struct EpochBarrier {
-  std::mutex Mu;
-  std::condition_variable Cv;
-  uint32_t Arrived = 0;
-  uint64_t Generation = 0;
+/// What the generator knows of one session's collections: enough to emit
+/// the ops whose operands depend on their contents. Attribute keys are
+/// 0..7 (login writes 0 and 1..7, update writes 2).
+struct SessionModel {
+  std::optional<int64_t> Attr[8];
+  uint32_t HistoryLen = 0;
 };
 
-/// Immutable run state shared with the workers.
-struct RunState {
-  ServerSimConfig Config;
-  uint32_t Threads = 1;
-  FrameId HandlerFrames[3] = {};
-  FrameId ScratchMapSite = 0;
-  FrameId ResultListSite = 0;
-  /// Wrapper refs of the per-session collections (rooted by the main
-  /// thread's handles for the whole run, so the refs stay valid).
-  std::vector<ObjectRef> SessionAttrs;
-  std::vector<ObjectRef> SessionHistory;
-  /// Armed trace capture, or null (the usual case — one null check per
-  /// request).
-  TraceCapture *Capture = nullptr;
-};
-
-void appendf(std::string &Out, const char *Fmt, ...) {
-  char Buf[512];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Out += Buf;
-}
-
-/// One request. \p Task is globally unique across the whole run (epochs
-/// included); \p Req is the per-epoch request number, which determines the
-/// session and the handler kind so every epoch replays the same pattern.
-/// When \p Rec is non-null, every collection op is appended to it as
-/// executed — the handlers sequence explicitly (no op hidden inside an
-/// argument list) so the recorded order IS the executed order.
-void handleRequest(CollectionRuntime &RT, const RunState &S, uint64_t Task,
-                   uint32_t Req, TaskTrace *Rec) {
-  CHAM_TRACE_SPAN_ARG("server", "request", "task", Task);
-  SemanticProfiler &Prof = RT.profiler();
-  Prof.setCurrentTask(Task);
-  SplitMix64 Rng(S.Config.Seed ^ (Gamma * Task));
-  uint32_t Session = Req % S.Config.Sessions;
-  CallFrame Handler(Prof, S.HandlerFrames[Req % 3]);
-
-  Map Attrs = RT.adoptMap(S.SessionAttrs[Session]);
-  List History = RT.adoptList(S.SessionHistory[Session]);
+/// Emits request \p Task (per-epoch request number \p Req) of session
+/// \p S into \p Rec, advancing the model exactly as the handler's ops
+/// change the session's collections.
+void emitRequest(TaskTrace &Rec, SessionModel &S,
+                 const ServerSimConfig &Config, uint64_t Task, uint32_t Req) {
+  SplitMix64 Rng(Config.Seed ^ (Gamma * Task));
+  const uint32_t Session = Req % Config.Sessions;
   const uint32_t AttrsReg = traceGlobalReg(2 * Session);
   const uint32_t HistoryReg = traceGlobalReg(2 * Session + 1);
   const uint32_t TempReg = traceTempReg(0);
+  const int64_t TaskVal = static_cast<int64_t>(Task);
 
   switch (Req % 3) {
   case 0: { // login: refresh attributes through a request-scoped scratch map
-    Map Scratch = RT.newHashMap(S.ScratchMapSite, 8);
-    if (Rec)
-      Rec->alloc(TempReg, AdtKind::Map, ImplKind::HashMap, FrameScratchSite,
-                 8);
+    Rec.alloc(TempReg, AdtKind::Map, ImplKind::HashMap, FrameScratchSite, 8);
+    uint32_t ScratchKeys = 0;
     for (int I = 0; I < 6; ++I) {
       int64_t Key = static_cast<int64_t>(Rng.nextBelow(16));
-      Scratch.put(Value::ofInt(Key), Value::ofInt(static_cast<int64_t>(Task)));
-      if (Rec)
-        Rec->op2(TraceOpCode::MapPut, TempReg, Key,
-                 static_cast<int64_t>(Task));
+      ScratchKeys |= 1u << Key;
+      Rec.op2(TraceOpCode::MapPut, TempReg, Key, TaskVal);
     }
-    Attrs.put(Value::ofInt(0), Value::ofInt(static_cast<int64_t>(Task)));
-    if (Rec)
-      Rec->op2(TraceOpCode::MapPut, AttrsReg, 0, static_cast<int64_t>(Task));
+    Rec.op2(TraceOpCode::MapPut, AttrsReg, 0, TaskVal);
+    S.Attr[0] = TaskVal;
     int64_t Key = 1 + static_cast<int64_t>(Rng.nextBelow(7));
-    uint32_t Sz = Scratch.size();
-    Attrs.put(Value::ofInt(Key), Value::ofInt(static_cast<int64_t>(Sz)));
-    if (Rec) {
-      Rec->op0(TraceOpCode::Size, TempReg);
-      Rec->op2(TraceOpCode::MapPut, AttrsReg, Key, static_cast<int64_t>(Sz));
-    }
-    Scratch.retire();
-    if (Rec)
-      Rec->op0(TraceOpCode::Retire, TempReg);
+    int64_t Sz = std::popcount(ScratchKeys);
+    Rec.op0(TraceOpCode::Size, TempReg);
+    Rec.op2(TraceOpCode::MapPut, AttrsReg, Key, Sz);
+    S.Attr[Key] = Sz;
+    Rec.op0(TraceOpCode::Retire, TempReg);
     break;
   }
   case 1: { // query: read-dominated, request-scoped result list
-    List Results = RT.newArrayList(S.ResultListSite, 4);
-    if (Rec)
-      Rec->alloc(TempReg, AdtKind::List, ImplKind::ArrayList,
-                 FrameResultsSite, 4);
+    Rec.alloc(TempReg, AdtKind::List, ImplKind::ArrayList, FrameResultsSite,
+              4);
     for (int I = 0; I < 12; ++I) {
       int64_t Key = static_cast<int64_t>(Rng.nextBelow(8));
-      Value V = Attrs.get(Value::ofInt(Key));
-      if (Rec)
-        Rec->op1(TraceOpCode::MapGet, AttrsReg, Key);
-      if (!V.isNull()) {
-        Results.add(V);
-        if (Rec)
-          Rec->op1(TraceOpCode::ListAdd, TempReg, V.asInt());
-      }
+      Rec.op1(TraceOpCode::MapGet, AttrsReg, Key);
+      if (S.Attr[Key])
+        Rec.op1(TraceOpCode::ListAdd, TempReg, *S.Attr[Key]);
     }
-    uint32_t E = History.size();
-    if (Rec)
-      Rec->op0(TraceOpCode::Size, HistoryReg);
-    for (uint32_t I = 0; I < E && I < 4; ++I) {
-      (void)History.get(E - 1 - I);
-      if (Rec)
-        Rec->op1(TraceOpCode::ListGet, HistoryReg,
-                 static_cast<int64_t>(E - 1 - I));
-    }
-    Results.retire();
-    if (Rec)
-      Rec->op0(TraceOpCode::Retire, TempReg);
+    const uint32_t E = S.HistoryLen;
+    Rec.op0(TraceOpCode::Size, HistoryReg);
+    for (uint32_t I = 0; I < E && I < 4; ++I)
+      Rec.op1(TraceOpCode::ListGet, HistoryReg,
+              static_cast<int64_t>(E - 1 - I));
+    Rec.op0(TraceOpCode::Retire, TempReg);
     break;
   }
   default: { // update: bounded history append
-    History.add(Value::ofInt(static_cast<int64_t>(Task)));
-    if (Rec)
-      Rec->op1(TraceOpCode::ListAdd, HistoryReg, static_cast<int64_t>(Task));
+    Rec.op1(TraceOpCode::ListAdd, HistoryReg, TaskVal);
+    ++S.HistoryLen;
     for (;;) {
-      uint32_t Sz = History.size();
-      if (Rec)
-        Rec->op0(TraceOpCode::Size, HistoryReg);
-      if (Sz <= S.Config.HistoryBound)
+      Rec.op0(TraceOpCode::Size, HistoryReg);
+      if (S.HistoryLen <= Config.HistoryBound)
         break;
-      (void)History.removeFirst();
-      if (Rec)
-        Rec->op0(TraceOpCode::ListRemoveFirst, HistoryReg);
+      Rec.op0(TraceOpCode::ListRemoveFirst, HistoryReg);
+      --S.HistoryLen;
     }
-    uint32_t Sz = History.size();
-    Attrs.put(Value::ofInt(2), Value::ofInt(static_cast<int64_t>(Sz)));
-    if (Rec) {
-      Rec->op0(TraceOpCode::Size, HistoryReg);
-      Rec->op2(TraceOpCode::MapPut, AttrsReg, 2, static_cast<int64_t>(Sz));
-    }
+    Rec.op0(TraceOpCode::Size, HistoryReg);
+    Rec.op2(TraceOpCode::MapPut, AttrsReg, 2, S.HistoryLen);
+    S.Attr[2] = S.HistoryLen;
     break;
   }
   }
 }
 
-/// Worker body: register as a mutator, then handle this thread's share of
-/// each epoch's requests (session s belongs to worker s % Threads).
-void workerMain(CollectionRuntime &RT, const RunState &S, EpochBarrier &B,
-                uint32_t Tid) {
-  MutatorScope Scope(RT);
-  // Recording batches each epoch's tasks locally and submits them in one
-  // addTasks call, so the capture mutex never contends on the hot path.
-  std::vector<TraceTask> Recorded;
-  for (uint32_t Epoch = 0; Epoch < S.Config.Epochs; ++Epoch) {
-    if (S.Capture)
-      Recorded.reserve(S.Config.RequestsPerEpoch / S.Threads + 1);
-    for (uint32_t Req = 0; Req < S.Config.RequestsPerEpoch; ++Req) {
-      if ((Req % S.Config.Sessions) % S.Threads != Tid)
-        continue;
-      // Task 0 is the main thread's boot phase; request tasks start at 1.
-      uint64_t Task =
-          1 + static_cast<uint64_t>(Epoch) * S.Config.RequestsPerEpoch + Req;
-      if (S.Capture) {
-        TaskTrace Rec;
-        Rec.Task.Id = Task;
-        Rec.Task.Session = Req % S.Config.Sessions;
-        Rec.Task.FrameIdx = Req % 3;
-        // The widest request (query) emits ~34 ops; one up-front reserve
-        // keeps the emit helpers reallocation-free.
-        Rec.Task.Ops.reserve(40);
-        handleRequest(RT, S, Task, Req, &Rec);
-        Recorded.push_back(std::move(Rec.Task));
-      } else {
-        handleRequest(RT, S, Task, Req, nullptr);
-      }
+/// The run's request stream as a trace: the boot task allocating every
+/// session's attribute map and history list, then one task per request.
+Trace buildServerSimTrace(const ServerSimConfig &Config) {
+  Trace T;
+  T.Header.Generator = "serversim";
+  T.Header.Seed = Config.Seed;
+  T.Header.Sessions = Config.Sessions;
+  T.Header.Epochs = Config.Epochs;
+  T.Header.Requests = uint64_t{Config.Epochs} * Config.RequestsPerEpoch;
+  T.Header.HistoryBound = Config.HistoryBound;
+  T.Header.Globals = 2 * Config.Sessions;
+  T.Header.Frames.assign(ServerSimFrameLabels,
+                         ServerSimFrameLabels + NumServerSimFrames);
+
+  TaskTrace Boot;
+  Boot.Task.Id = 0;
+  Boot.Task.Session = TraceBootSession;
+  Boot.Task.FrameIdx = FrameBoot;
+  for (uint32_t I = 0; I < Config.Sessions; ++I) {
+    Boot.alloc(traceGlobalReg(2 * I), AdtKind::Map, ImplKind::HashMap,
+               FrameAttrsSite, 8);
+    Boot.alloc(traceGlobalReg(2 * I + 1), AdtKind::List, ImplKind::ArrayList,
+               FrameHistorySite, Config.HistoryBound);
+  }
+  T.Boot = std::move(Boot.Task);
+
+  std::vector<SessionModel> Sessions(Config.Sessions);
+  TaskTrace Rec; // reused; each task copies its ops out at their exact size
+  T.Epochs.resize(Config.Epochs);
+  for (uint32_t Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
+    T.Epochs[Epoch].reserve(Config.RequestsPerEpoch);
+    for (uint32_t Req = 0; Req < Config.RequestsPerEpoch; ++Req) {
+      TraceTask &Task = T.Epochs[Epoch].emplace_back();
+      // Task 0 is the boot task; request tasks start at 1.
+      Task.Id = 1 + uint64_t{Epoch} * Config.RequestsPerEpoch + Req;
+      Task.Session = Req % Config.Sessions;
+      Task.FrameIdx = Req % 3;
+      Rec.Task.Ops.clear();
+      emitRequest(Rec, Sessions[Task.Session], Config, Task.Id, Req);
+      Task.Ops = Rec.Task.Ops;
     }
-    if (S.Capture)
-      S.Capture->addTasks(Epoch, std::move(Recorded));
-    // Park until the main thread has flushed + collected for this epoch.
-    GcSafeRegion Region(RT.heap());
-    std::unique_lock<std::mutex> L(B.Mu);
-    uint64_t Gen = B.Generation;
-    ++B.Arrived;
-    B.Cv.notify_all();
-    B.Cv.wait(L, [&] { return B.Generation != Gen; });
   }
+  return T;
 }
 
-} // namespace
-
-std::string chameleon::apps::buildServerSimReport(CollectionRuntime &RT,
-                                                  uint32_t Sessions,
-                                                  uint32_t Epochs,
-                                                  uint64_t Requests) {
-  SemanticProfiler &Prof = RT.profiler();
-  std::string Out;
-  appendf(Out, "ServerSim: sessions=%u epochs=%u requests=%llu\n", Sessions,
-          Epochs, static_cast<unsigned long long>(Requests));
-  Out += "gc cycles:\n";
-  for (const GcCycleRecord &Rec : RT.heap().cycles())
-    appendf(Out,
-            "  cycle %llu forced=%d live=%llu objects=%llu collLive=%llu "
-            "collUsed=%llu collCore=%llu collObjects=%llu freed=%llu "
-            "freedObjects=%llu\n",
-            static_cast<unsigned long long>(Rec.Cycle), Rec.Forced ? 1 : 0,
-            static_cast<unsigned long long>(Rec.LiveBytes),
-            static_cast<unsigned long long>(Rec.LiveObjects),
-            static_cast<unsigned long long>(Rec.CollectionLiveBytes),
-            static_cast<unsigned long long>(Rec.CollectionUsedBytes),
-            static_cast<unsigned long long>(Rec.CollectionCoreBytes),
-            static_cast<unsigned long long>(Rec.CollectionObjects),
-            static_cast<unsigned long long>(Rec.FreedBytes),
-            static_cast<unsigned long long>(Rec.FreedObjects));
-  Out += "contexts:\n";
-  for (const ContextInfo *Ctx : Prof.contexts())
-    appendf(Out,
-            "  %s: allocs=%llu folded=%llu allOps=%.6g maxSize=%.6g "
-            "finalSize=%.6g initCap=%.6g totLive=%llu totUsed=%llu\n",
-            Prof.contextLabel(*Ctx).c_str(),
-            static_cast<unsigned long long>(Ctx->allocations()),
-            static_cast<unsigned long long>(Ctx->foldedInstances()),
-            Ctx->avgAllOps(), Ctx->maxSizeStat().mean(),
-            Ctx->finalSizeStat().mean(), Ctx->initialCapacityStat().mean(),
-            static_cast<unsigned long long>(Ctx->liveData().total()),
-            static_cast<unsigned long long>(Ctx->usedData().total()));
-  return Out;
+/// Flips the backing of every live collection through the transactional
+/// migration path: maps to ArrayMap and lists to LinkedList on even
+/// epochs, back on odd ones. At a barrier the only live collections are
+/// the session state (every request temp is retired and swept), and boot
+/// allocated it first, on the main thread of a fresh heap, so slot order
+/// is session order — attrs then history, session by session.
+void flipSessionCollections(CollectionRuntime &RT, uint32_t Epoch) {
+  const ImplKind MapTarget =
+      Epoch % 2 == 0 ? ImplKind::ArrayMap : ImplKind::HashMap;
+  const ImplKind ListTarget =
+      Epoch % 2 == 0 ? ImplKind::LinkedList : ImplKind::ArrayList;
+  std::vector<std::pair<ObjectRef, ImplKind>> Flips;
+  RT.heap().forEachObject([&](HeapObject &Obj) {
+    if (RT.heap().types().get(Obj.typeId()).Kind != TypeKind::CollectionWrapper)
+      return;
+    const auto &W = static_cast<const CollectionObject &>(Obj);
+    Flips.emplace_back(Obj.self(),
+                       W.Adt == AdtKind::Map ? MapTarget : ListTarget);
+  });
+  for (const auto &[Wrapper, Target] : Flips)
+    (void)RT.migrateCollection(Wrapper, Target);
 }
 
-namespace {
+/// printf's %llu argument type.
+unsigned long long ull(uint64_t V) { return V; }
 
-/// Randomized fault plan for one chaos run, derived entirely from the seed
-/// so a failing run replays from its printed seed.
-FaultPlan buildChaosPlan(uint64_t Seed) {
-  SplitMix64 Rng(Seed ^ Gamma);
-  FaultPlan Plan;
-  Plan.Seed = Seed;
-  // Forced collections at adversarial allocation instants.
-  Plan.Rules.push_back({"gc.alloc", FaultAction::ForceGc, /*NthHit=*/0,
-                        0.0005 + 0.002 * Rng.nextDouble(), ~0ull});
-  // Injected failures inside the migration transaction machinery itself.
-  Plan.Rules.push_back({"migrate.*", FaultAction::FailAlloc, /*NthHit=*/0,
-                        0.05 + 0.25 * Rng.nextDouble(), ~0ull});
-  // ...and in the allocations a shadow build performs. Outside a migration
-  // FailScope these matches are counted as suppressed, never thrown.
-  Plan.Rules.push_back({"*.reserve", FaultAction::FailAlloc, /*NthHit=*/0,
-                        0.01 + 0.05 * Rng.nextDouble(), ~0ull});
-  return Plan;
+/// The --ticker line: one stderr glance per epoch barrier at the run's
+/// live telemetry. stderr only — never part of the deterministic report.
+void printTicker(CollectionRuntime &RT, uint32_t Epoch, uint32_t Epochs) {
+  obs::TraceRecorder &Rec = obs::TraceRecorder::instance();
+  std::fprintf(
+      stderr,
+      "[telemetry] epoch %u/%u gc=%llu migrations=%llu/%llu/%llu shed=%s "
+      "events=%llu dropped=%llu\n",
+      Epoch + 1, Epochs, ull(RT.heap().cycleCount()),
+      ull(RT.migrationAttempts()), ull(RT.migrationCommits()),
+      ull(RT.migrationAborts()),
+      RT.profiler().degradationStats().ShedActive ? "on" : "off",
+      ull(Rec.recordedEvents()), ull(Rec.droppedEvents()));
 }
 
-/// Scopes the chaos machinery to one run: arms the plan, installs the
-/// online selector and the soft heap limit, and tears all three down (in
-/// reverse) even when the run throws.
-struct ChaosSession {
-  CollectionRuntime &RT;
-
-  ChaosSession(CollectionRuntime &RT, OnlineSelector &Selector,
-               const ServerSimConfig &Config)
-      : RT(RT) {
-    RT.setOnlineSelector(&Selector);
-    RT.heap().setSoftHeapLimit(Config.ChaosSoftHeapLimitBytes);
-    FaultInjector::instance().arm(buildChaosPlan(Config.ChaosSeed));
-  }
-
-  ~ChaosSession() {
-    FaultInjector::instance().disarm(); // stats survive for the report
-    RT.heap().setSoftHeapLimit(0);
-    RT.setOnlineSelector(nullptr);
-  }
-};
-
+/// Fault, migration, and degradation accounting of a chaos run.
 std::string buildChaosReport(CollectionRuntime &RT,
-                             const OnlineAdaptor &Adaptor,
-                             const ServerSimConfig &Config) {
+                             const ServerSimConfig &Config,
+                             const ReplayResult &R) {
   std::string Out;
-  appendf(Out, "chaos: seed=0x%llx softLimit=%llu\n",
-          static_cast<unsigned long long>(Config.ChaosSeed),
-          static_cast<unsigned long long>(Config.ChaosSoftHeapLimitBytes));
-
+  appendf(Out, "chaos: seed=0x%llx softLimit=%llu\n", ull(Config.ChaosSeed),
+          ull(Config.ChaosSoftHeapLimitBytes));
   FaultStats FS = FaultInjector::instance().stats();
   appendf(Out,
           "faults: hits=%llu thrown=%llu forcedGcs=%llu suppressed=%llu\n",
-          static_cast<unsigned long long>(FS.Hits),
-          static_cast<unsigned long long>(FS.AllocFailuresThrown),
-          static_cast<unsigned long long>(FS.ForcedGcs),
-          static_cast<unsigned long long>(FS.SuppressedFailures));
-  for (const FaultInjector::RuleReport &R :
+          ull(FS.Hits), ull(FS.AllocFailuresThrown), ull(FS.ForcedGcs),
+          ull(FS.SuppressedFailures));
+  for (const FaultInjector::RuleReport &Rule :
        FaultInjector::instance().ruleReports())
-    appendf(Out, "  rule %s: hits=%llu fires=%llu\n", R.SitePattern.c_str(),
-            static_cast<unsigned long long>(R.Hits),
-            static_cast<unsigned long long>(R.Fires));
-
+    appendf(Out, "  rule %s: hits=%llu fires=%llu\n", Rule.SitePattern.c_str(),
+            ull(Rule.Hits), ull(Rule.Fires));
   appendf(Out,
           "migrations: attempts=%llu commits=%llu aborts=%llu "
           "requested=%llu pinned=%llu\n",
-          static_cast<unsigned long long>(RT.migrationAttempts()),
-          static_cast<unsigned long long>(RT.migrationCommits()),
-          static_cast<unsigned long long>(RT.migrationAborts()),
-          static_cast<unsigned long long>(Adaptor.migrationsRequested()),
-          static_cast<unsigned long long>(Adaptor.pinnedContexts()));
-  appendf(Out, "retire: double=%llu useAfter=%llu\n",
-          static_cast<unsigned long long>(RT.doubleRetires()),
-          static_cast<unsigned long long>(RT.usesAfterRetire()));
-
+          ull(RT.migrationAttempts()), ull(RT.migrationCommits()),
+          ull(RT.migrationAborts()), ull(R.MigrationsRequested),
+          ull(R.PinnedContexts));
+  appendf(Out, "retire: double=%llu useAfter=%llu\n", ull(RT.doubleRetires()),
+          ull(RT.usesAfterRetire()));
   ProfilerDegradationStats D = RT.profiler().degradationStats();
   appendf(Out,
           "degradation: pressureEvents=%llu emergencyCollects=%llu "
           "shedMultiplier=%u shedSampledOut=%llu\n",
-          static_cast<unsigned long long>(D.HeapPressureEvents),
-          static_cast<unsigned long long>(RT.heap().emergencyCollects()),
-          D.ShedMultiplier,
-          static_cast<unsigned long long>(D.ShedSampledOut));
+          ull(D.HeapPressureEvents), ull(RT.heap().emergencyCollects()),
+          D.ShedMultiplier, ull(D.ShedSampledOut));
   appendf(Out,
           "events: notedAllocs=%llu foldedAllocs=%llu droppedAllocs=%llu "
           "notedDeaths=%llu foldedDeaths=%llu droppedDeaths=%llu\n",
-          static_cast<unsigned long long>(D.NotedAllocs),
-          static_cast<unsigned long long>(D.FoldedAllocs),
-          static_cast<unsigned long long>(D.DroppedAllocs),
-          static_cast<unsigned long long>(D.NotedDeaths),
-          static_cast<unsigned long long>(D.FoldedDeaths),
-          static_cast<unsigned long long>(D.DroppedDeaths));
+          ull(D.NotedAllocs), ull(D.FoldedAllocs), ull(D.DroppedAllocs),
+          ull(D.NotedDeaths), ull(D.FoldedDeaths), ull(D.DroppedDeaths));
   return Out;
 }
 
 } // namespace
 
 RuntimeConfig chameleon::apps::serverSimRuntimeConfig() {
-  RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
-  Config.Profiler.SamplingPeriod = 1; // exact: no per-thread sampling drift
-  Config.HeapLimitBytes = 0;          // GC only at the epoch barriers
-  Config.GcSampleEveryBytes = 0;
-  return Config;
-}
-
-/// The --ticker line: one stderr glance per epoch barrier at the run's
-/// live telemetry. stderr only — never part of the deterministic report.
-static void printTicker(CollectionRuntime &RT, uint32_t Epoch, uint32_t Epochs) {
-  obs::TraceRecorder &Rec = obs::TraceRecorder::instance();
-  std::fprintf(
-      stderr,
-      "[telemetry] epoch %u/%u gc=%llu migrations=%llu/%llu/%llu shed=%s "
-      "events=%llu dropped=%llu\n",
-      Epoch + 1, Epochs,
-      static_cast<unsigned long long>(RT.heap().cycleCount()),
-      static_cast<unsigned long long>(RT.migrationAttempts()),
-      static_cast<unsigned long long>(RT.migrationCommits()),
-      static_cast<unsigned long long>(RT.migrationAborts()),
-      RT.profiler().degradationStats().ShedActive ? "on" : "off",
-      static_cast<unsigned long long>(Rec.recordedEvents()),
-      static_cast<unsigned long long>(Rec.droppedEvents()));
+  // The replay's determinism config at the runtime's default revise period.
+  ReplayConfig RC;
+  RC.OnlineRevisePeriod = RuntimeConfig().OnlineRevisePeriod;
+  return traceReplayRuntimeConfig(RC);
 }
 
 ServerSimResult chameleon::apps::runServerSim(CollectionRuntime &RT,
                                               const ServerSimConfig &Config) {
-  SemanticProfiler &Prof = RT.profiler();
-  // Telemetry capture is strictly read-only with respect to the simulated
-  // run: it records what happens but feeds nothing back, so Report stays
-  // byte-identical with it on or off (ServerSimTest pins this).
-  const bool Telemetry =
-      !Config.TelemetryOutDir.empty() || Config.TelemetryTicker;
-  if (Telemetry)
+  // The ticker reads the recorder's counters; TelemetryOutDir arms it in
+  // the replay.
+  if (Config.TelemetryTicker)
     obs::TraceRecorder::instance().arm();
-  // Buffer statistics from the first event even when the caller's config
-  // did not opt in (sticky; required before any worker touches the heap).
-  Prof.enableConcurrentMutators();
-
-  // Chaos mode: builtin rules behind an online adaptor (so live migrations
-  // happen and can be aborted), a soft heap limit (so the shed path runs),
-  // and the randomized fault plan, all scoped to this run.
-  std::optional<rules::RuleEngine> ChaosEngine;
-  std::optional<OnlineAdaptor> ChaosAdaptor;
-  std::optional<ChaosSession> Chaos;
-  if (Config.Chaos) {
-    ChaosEngine.emplace();
-    ChaosEngine->addBuiltinRules();
-    ChaosAdaptor.emplace(*ChaosEngine, Prof, OnlineConfig());
-    Chaos.emplace(RT, *ChaosAdaptor, Config);
-  }
 
   // Ledger mode: arm (re-arming clears any previous run's records) and
   // build the builtin rule set the barrier-time evaluation pass uses.
@@ -444,95 +283,24 @@ ServerSimResult chameleon::apps::runServerSim(CollectionRuntime &RT,
                    Error.c_str());
   }
 
-  RunState S;
-  S.Config = Config;
-  S.Threads = Config.MutatorThreads ? Config.MutatorThreads : 1;
-  S.Capture = Config.RecordTo;
-  S.HandlerFrames[0] = Prof.internFrame(ServerSimFrameLabels[FrameLogin]);
-  S.HandlerFrames[1] = Prof.internFrame(ServerSimFrameLabels[FrameQuery]);
-  S.HandlerFrames[2] = Prof.internFrame(ServerSimFrameLabels[FrameUpdate]);
-  S.ScratchMapSite = RT.site(ServerSimFrameLabels[FrameScratchSite]);
-  S.ResultListSite = RT.site(ServerSimFrameLabels[FrameResultsSite]);
-  FrameId AttrsSite = RT.site(ServerSimFrameLabels[FrameAttrsSite]);
-  FrameId HistorySite = RT.site(ServerSimFrameLabels[FrameHistorySite]);
-
-  if (S.Capture) {
-    TraceHeader Header;
-    Header.Generator = "serversim";
-    Header.Seed = Config.Seed;
-    Header.Sessions = Config.Sessions;
-    Header.Epochs = Config.Epochs;
-    Header.Requests =
-        static_cast<uint64_t>(Config.Epochs) * Config.RequestsPerEpoch;
-    Header.HistoryBound = Config.HistoryBound;
-    Header.Globals = 2 * Config.Sessions;
-    Header.Frames.assign(ServerSimFrameLabels,
-                         ServerSimFrameLabels + NumServerSimFrames);
-    S.Capture->begin(std::move(Header));
-  }
-
-  // Boot phase (task 0): the long-lived per-session state, on the main
-  // thread so wrapper slots are identical for every thread count.
-  Prof.setCurrentTask(0);
-  std::vector<Map> AttrHandles;
-  std::vector<List> HistoryHandles;
-  {
-    CallFrame Boot(Prof, Prof.internFrame(ServerSimFrameLabels[FrameBoot]));
-    TaskTrace BootRec;
-    for (uint32_t I = 0; I < Config.Sessions; ++I) {
-      AttrHandles.push_back(RT.newHashMap(AttrsSite, 8));
-      HistoryHandles.push_back(
-          RT.newArrayList(HistorySite, Config.HistoryBound));
-      S.SessionAttrs.push_back(AttrHandles.back().wrapperRef());
-      S.SessionHistory.push_back(HistoryHandles.back().wrapperRef());
-      if (S.Capture) {
-        BootRec.alloc(traceGlobalReg(2 * I), AdtKind::Map, ImplKind::HashMap,
-                      FrameAttrsSite, 8);
-        BootRec.alloc(traceGlobalReg(2 * I + 1), AdtKind::List,
-                      ImplKind::ArrayList, FrameHistorySite,
-                      Config.HistoryBound);
-      }
-    }
-    if (S.Capture) {
-      BootRec.Task.Id = 0;
-      BootRec.Task.Session = TraceBootSession;
-      BootRec.Task.FrameIdx = FrameBoot;
-      S.Capture->addTask(TraceCapture::BootEpoch, std::move(BootRec.Task));
-    }
-  }
-
-  EpochBarrier B;
-  std::vector<std::thread> Workers;
-  Workers.reserve(S.Threads);
-  for (uint32_t T = 0; T < S.Threads; ++T)
-    Workers.emplace_back(
-        [&RT, &S, &B, T] { workerMain(RT, S, B, T); });
-
-  for (uint32_t Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
-    {
-      std::unique_lock<std::mutex> L(B.Mu);
-      B.Cv.wait(L, [&] { return B.Arrived == S.Threads; });
-    }
-    // All workers are parked in safe regions: flush the per-thread event
-    // buffers deterministically, then take the epoch's statistics cycle.
-    CHAM_TRACE_SPAN_ARG("server", "epoch_barrier", "epoch", Epoch);
-    RT.flushMutatorStatistics();
-    RT.heap().collect(/*Forced=*/true);
-    if (Config.Chaos) {
-      // Chaos migration storm: while the workers are parked, flip every
-      // session's backing through the transactional migration path, under
-      // the armed fault plan. Some attempts abort (and must roll back —
-      // the workers' next epoch runs against the surviving contents);
-      // the rest commit and flip back next epoch.
-      ImplKind MapTarget =
-          (Epoch % 2 == 0) ? ImplKind::ArrayMap : ImplKind::HashMap;
-      ImplKind ListTarget =
-          (Epoch % 2 == 0) ? ImplKind::LinkedList : ImplKind::ArrayList;
-      for (uint32_t I = 0; I < Config.Sessions; ++I) {
-        (void)RT.migrateCollection(S.SessionAttrs[I], MapTarget);
-        (void)RT.migrateCollection(S.SessionHistory[I], ListTarget);
-      }
-    }
+  ReplayConfig RC;
+  RC.MutatorThreads = Config.MutatorThreads;
+  // Chaos mode: builtin rules behind an online adaptor (so live migrations
+  // happen and can be aborted), a soft heap limit (so the shed path runs),
+  // and the randomized fault plan, all scoped to the replay.
+  RC.OnlineAdapt = Config.Chaos;
+  RC.Chaos = Config.Chaos;
+  RC.ChaosSeed = Config.ChaosSeed;
+  RC.ChaosSoftHeapLimitBytes = Config.ChaosSoftHeapLimitBytes;
+  RC.RecordTo = Config.RecordTo;
+  RC.TelemetryOutDir = Config.TelemetryOutDir;
+  RC.OnEpochBarrier = [&](uint32_t Epoch, CollectionRuntime &RT) {
+    // Chaos migration storm: flip every session's backing under the armed
+    // fault plan. Some attempts abort (and must roll back — the workers'
+    // next epoch runs against the surviving contents); the rest commit
+    // and flip back next epoch.
+    if (Config.Chaos)
+      flipSessionCollections(RT, Epoch);
     if (Config.DecisionLedger) {
       // Ledger pass: rule evaluation over every context against the
       // just-folded (post-flush, canonically renumbered) profile, then a
@@ -541,55 +309,25 @@ ServerSimResult chameleon::apps::runServerSim(CollectionRuntime &RT,
       // ledger. Main thread only, workers parked: the record order is a
       // pure function of the workload, never of thread scheduling.
       std::vector<rules::Suggestion> Suggs;
-      for (const ContextInfo *Ctx : Prof.contexts())
-        LedgerEngine->evaluateContext(*Ctx, Prof, Suggs);
-      ImplKind MapTarget =
-          (Epoch % 2 == 0) ? ImplKind::ArrayMap : ImplKind::HashMap;
-      ImplKind ListTarget =
-          (Epoch % 2 == 0) ? ImplKind::LinkedList : ImplKind::ArrayList;
-      for (uint32_t I = 0; I < Config.Sessions; ++I) {
-        (void)RT.migrateCollection(S.SessionAttrs[I], MapTarget);
-        (void)RT.migrateCollection(S.SessionHistory[I], ListTarget);
-      }
+      for (const ContextInfo *Ctx : RT.profiler().contexts())
+        LedgerEngine->evaluateContext(*Ctx, RT.profiler(), Suggs);
+      flipSessionCollections(RT, Epoch);
     }
     if (!Config.FlightRecorderPath.empty())
       obs::FlightRecorder::instance().checkpoint();
     if (Config.TelemetryTicker)
       printTicker(RT, Epoch, Config.Epochs);
-    {
-      std::lock_guard<std::mutex> L(B.Mu);
-      B.Arrived = 0;
-      ++B.Generation;
-      B.Cv.notify_all();
-    }
-  }
-  for (std::thread &W : Workers)
-    W.join();
+  };
 
-  // Fold the still-live session collections and canonicalize the report.
-  RT.harvestLiveStatistics();
+  ReplayResult R = replayTrace(RT, buildServerSimTrace(Config), RC);
+  assert(R.Ok && "generated ServerSim trace failed validation");
+  if (Config.TelemetryTicker)
+    obs::TraceRecorder::instance().disarm();
 
   ServerSimResult Result;
-  Result.TotalRequests =
-      static_cast<uint64_t>(Config.Epochs) * Config.RequestsPerEpoch;
-  if (Config.Chaos) {
-    // Stop injecting before building reports; the counters survive disarm
-    // (and the ChaosSession destructor's second disarm is a no-op).
-    FaultInjector::instance().disarm();
-    Result.ChaosReport = buildChaosReport(RT, *ChaosAdaptor, Config);
-  }
-  Result.Report = buildServerSimReport(
-      RT, Config.Sessions, Config.Epochs,
-      static_cast<uint64_t>(Config.Epochs) * Config.RequestsPerEpoch);
-  if (Telemetry) {
-    obs::TraceRecorder::instance().disarm();
-    if (!Config.TelemetryOutDir.empty()) {
-      std::string Error;
-      if (!obs::Telemetry::writeTelemetryDir(Config.TelemetryOutDir, "cham.",
-                                             &Error))
-        std::fprintf(stderr, "[telemetry] export failed: %s\n",
-                     Error.c_str());
-    }
-  }
+  Result.TotalRequests = R.Tasks;
+  if (Config.Chaos)
+    Result.ChaosReport = buildChaosReport(RT, Config, R);
+  Result.Report = std::move(R.Report);
   return Result;
 }

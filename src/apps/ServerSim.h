@@ -6,11 +6,17 @@
 ///
 /// \file
 /// A multi-threaded server simulacrum exercising the concurrent-mutator
-/// support (DESIGN.md §9): N worker threads handle a deterministic stream
-/// of requests against shared per-session state (an attribute map and a
-/// bounded history list per session) while allocating, using, and retiring
-/// request-scoped collections. Epochs end at a quiescent barrier where the
-/// main thread flushes the per-thread profiling buffers and forces a GC.
+/// support (DESIGN.md §9): a deterministic stream of requests against
+/// shared per-session state (an attribute map and a bounded history list
+/// per session) that allocate, use, and retire request-scoped collections.
+///
+/// runServerSim generates the stream as a trace — a boot task plus one
+/// task per request, with the ops that depend on collection contents
+/// derived from a per-session model — and runs it through `replayTrace`
+/// (TraceWorkload.h) on N mutator threads. Epochs end at the replay's
+/// quiescent barrier, where ServerSim's own barrier work (chaos migration
+/// storm, ledger pass, flight-recorder checkpoint, ticker) runs in the
+/// OnEpochBarrier hook.
 ///
 /// The workload is *statically partitioned*: a session's requests are
 /// handled by exactly one worker, in request order, and every request
@@ -74,9 +80,8 @@ struct ServerSimConfig {
   bool TelemetryTicker = false;
 
   /// When non-null, record the run's canonical op stream into this capture
-  /// (TraceWorkload.h). The recording is observational — Report stays
-  /// byte-identical to an unrecorded run — and costs one null check per
-  /// request when disarmed.
+  /// (forwarded to ReplayConfig::RecordTo). The recording is observational:
+  /// Report stays byte-identical to an unrecorded run.
   TraceCapture *RecordTo = nullptr;
 
   /// Decision-ledger mode (DESIGN.md §16): arm the DecisionLog for the run
@@ -111,15 +116,10 @@ struct ServerSimResult {
 /// profiling, exact sampling, and GC only at the epoch barriers.
 RuntimeConfig serverSimRuntimeConfig();
 
-/// Runs the server simulacrum on \p RT.
+/// Runs the server simulacrum on \p RT, which must be freshly constructed
+/// (see replayTrace).
 ServerSimResult runServerSim(CollectionRuntime &RT,
                              const ServerSimConfig &Config = ServerSimConfig());
-
-/// Renders the deterministic profiling report (GC cycle records plus
-/// canonically-ordered context statistics) for a finished run or replay.
-/// Call after the final forced GC and harvestLiveStatistics().
-std::string buildServerSimReport(CollectionRuntime &RT, uint32_t Sessions,
-                                 uint32_t Epochs, uint64_t Requests);
 
 } // namespace chameleon::apps
 

@@ -6,16 +6,15 @@
 
 #include "apps/TraceWorkload.h"
 
-#include "apps/ServerSim.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "support/FaultInjector.h"
+#include "support/Format.h"
 #include "support/SplitMix64.h"
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdarg>
 #include <cstdio>
 #include <thread>
 
@@ -45,20 +44,6 @@ void TraceCapture::addTask(uint32_t Epoch, TraceTask Task) {
     Epochs[Epoch].push_back(std::move(Task));
 }
 
-void TraceCapture::addTasks(uint32_t Epoch, std::vector<TraceTask> Tasks) {
-  std::lock_guard<std::mutex> L(Mu);
-  if (!Active || Epoch >= Epochs.size())
-    return;
-  std::vector<TraceTask> &Dst = Epochs[Epoch];
-  if (Dst.empty()) {
-    Dst = std::move(Tasks);
-    return;
-  }
-  Dst.reserve(Dst.size() + Tasks.size());
-  for (TraceTask &T : Tasks)
-    Dst.push_back(std::move(T));
-}
-
 Trace TraceCapture::finish() {
   std::lock_guard<std::mutex> L(Mu);
   Active = false;
@@ -84,17 +69,8 @@ namespace {
 
 constexpr uint64_t Gamma = 0x9E3779B97F4A7C15ULL;
 
-void appendf(std::string &Out, const char *Fmt, ...) {
-  char Buf[512];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Out += Buf;
-}
-
-/// Same barrier shape as ServerSim's: workers park in a GcSafeRegion while
-/// the main thread flushes the profile buffers and forces the epoch GC.
+/// Epoch barrier: workers park in a GcSafeRegion while the main thread
+/// flushes the profile buffers and forces the epoch GC.
 struct ReplayBarrier {
   std::mutex Mu;
   std::condition_variable Cv;
@@ -114,18 +90,20 @@ struct ReplayShared {
   TraceCapture *Capture = nullptr;
 };
 
-/// The randomized chaos plan for a replay run — the same adversarial shape
-/// ServerSim's chaos mode uses (forced GCs at allocation instants,
-/// injected failures inside migration transactions and in the allocations
-/// a shadow build performs).
+/// Randomized fault plan for one chaos run, derived entirely from the seed
+/// so a failing run replays from its printed seed.
 FaultPlan replayChaosPlan(uint64_t Seed) {
   SplitMix64 Rng(Seed ^ Gamma);
   FaultPlan Plan;
   Plan.Seed = Seed;
+  // Forced collections at adversarial allocation instants.
   Plan.Rules.push_back({"gc.alloc", FaultAction::ForceGc, /*NthHit=*/0,
                         0.0005 + 0.002 * Rng.nextDouble(), ~0ull});
+  // Injected failures inside the migration transaction machinery itself.
   Plan.Rules.push_back({"migrate.*", FaultAction::FailAlloc, /*NthHit=*/0,
                         0.05 + 0.25 * Rng.nextDouble(), ~0ull});
+  // ...and in the allocations a shadow build performs. Outside a migration
+  // FailScope these matches are counted as suppressed, never thrown.
   Plan.Rules.push_back({"*.reserve", FaultAction::FailAlloc, /*NthHit=*/0,
                         0.01 + 0.05 * Rng.nextDouble(), ~0ull});
   return Plan;
@@ -188,7 +166,7 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
                      const TraceTask &TT, uint32_t Epoch, bool IsBoot,
                      RegisterFile &R) {
   SemanticProfiler &Prof = RT.profiler();
-  CHAM_TRACE_SPAN_ARG("replay", "task", "task", TT.Id);
+  CHAM_TRACE_SPAN_ARG("server", "request", "task", TT.Id);
   Prof.setCurrentTask(TT.Id);
   CallFrame Frame(Prof, S.Frames[TT.FrameIdx]);
 
@@ -405,15 +383,14 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
   return TT.Ops.size();
 }
 
-/// Worker body: same partition and barrier discipline as ServerSim —
-/// session s belongs to worker s % Threads, tasks run in trace order.
+/// Worker body: session s belongs to worker s % Threads, tasks run in
+/// trace order, and every epoch ends at the barrier.
 void replayWorker(CollectionRuntime &RT, ReplayShared &S, ReplayBarrier &B,
                   uint32_t Tid, std::atomic<uint64_t> &OpsOut) {
   MutatorScope Scope(RT);
   uint64_t Ops = 0;
-  // Every task adopts afresh and drops what it adopted at its end,
-  // mirroring ServerSim's per-request adoptMap/adoptList (adoption is
-  // uncounted, so this is free with respect to the profile).
+  // Every task adopts afresh and drops what it adopted at its end
+  // (adoption is uncounted, so this is free with respect to the profile).
   RegisterFile Regs(static_cast<uint32_t>(S.GlobalRefs.size()));
   for (uint32_t Epoch = 0; Epoch < S.T.Epochs.size(); ++Epoch) {
     for (const TraceTask &Task : S.T.Epochs[Epoch]) {
@@ -429,6 +406,45 @@ void replayWorker(CollectionRuntime &RT, ReplayShared &S, ReplayBarrier &B,
     B.Cv.wait(L, [&] { return B.Generation != Gen; });
   }
   OpsOut.fetch_add(Ops, std::memory_order_relaxed);
+}
+
+/// The deterministic profiling report: the GC cycle records (without
+/// wall-clock durations) plus canonically-ordered context statistics.
+/// Call after the final forced GC and harvestLiveStatistics().
+std::string buildServerSimReport(CollectionRuntime &RT, uint32_t Sessions,
+                                 uint32_t Epochs, uint64_t Requests) {
+  SemanticProfiler &Prof = RT.profiler();
+  std::string Out;
+  appendf(Out, "ServerSim: sessions=%u epochs=%u requests=%llu\n", Sessions,
+          Epochs, static_cast<unsigned long long>(Requests));
+  Out += "gc cycles:\n";
+  for (const GcCycleRecord &Rec : RT.heap().cycles())
+    appendf(Out,
+            "  cycle %llu forced=%d live=%llu objects=%llu collLive=%llu "
+            "collUsed=%llu collCore=%llu collObjects=%llu freed=%llu "
+            "freedObjects=%llu\n",
+            static_cast<unsigned long long>(Rec.Cycle), Rec.Forced ? 1 : 0,
+            static_cast<unsigned long long>(Rec.LiveBytes),
+            static_cast<unsigned long long>(Rec.LiveObjects),
+            static_cast<unsigned long long>(Rec.CollectionLiveBytes),
+            static_cast<unsigned long long>(Rec.CollectionUsedBytes),
+            static_cast<unsigned long long>(Rec.CollectionCoreBytes),
+            static_cast<unsigned long long>(Rec.CollectionObjects),
+            static_cast<unsigned long long>(Rec.FreedBytes),
+            static_cast<unsigned long long>(Rec.FreedObjects));
+  Out += "contexts:\n";
+  for (const ContextInfo *Ctx : Prof.contexts())
+    appendf(Out,
+            "  %s: allocs=%llu folded=%llu allOps=%.6g maxSize=%.6g "
+            "finalSize=%.6g initCap=%.6g totLive=%llu totUsed=%llu\n",
+            Prof.contextLabel(*Ctx).c_str(),
+            static_cast<unsigned long long>(Ctx->allocations()),
+            static_cast<unsigned long long>(Ctx->foldedInstances()),
+            Ctx->avgAllOps(), Ctx->maxSizeStat().mean(),
+            Ctx->finalSizeStat().mean(), Ctx->initialCapacityStat().mean(),
+            static_cast<unsigned long long>(Ctx->liveData().total()),
+            static_cast<unsigned long long>(Ctx->usedData().total()));
+  return Out;
 }
 
 std::string buildAdaptReport(CollectionRuntime &RT,
@@ -484,7 +500,11 @@ std::string buildAdaptReport(CollectionRuntime &RT,
 
 RuntimeConfig chameleon::apps::traceReplayRuntimeConfig(
     const ReplayConfig &Config) {
-  RuntimeConfig RC = serverSimRuntimeConfig();
+  RuntimeConfig RC;
+  RC.Profiler.ConcurrentMutators = true;
+  RC.Profiler.SamplingPeriod = 1; // exact: no per-thread sampling drift
+  RC.HeapLimitBytes = 0;          // GC only at the epoch barriers
+  RC.GcSampleEveryBytes = 0;
   RC.OnlineRevisePeriod = Config.OnlineRevisePeriod;
   return RC;
 }
@@ -551,7 +571,7 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
       std::unique_lock<std::mutex> L(B.Mu);
       B.Cv.wait(L, [&] { return B.Arrived == S.Threads; });
     }
-    CHAM_TRACE_SPAN_ARG("replay", "epoch_barrier", "epoch", Epoch);
+    CHAM_TRACE_SPAN_ARG("server", "epoch_barrier", "epoch", Epoch);
     RT.flushMutatorStatistics();
     RT.heap().collect(/*Forced=*/true);
     if (Config.OnEpochBarrier)

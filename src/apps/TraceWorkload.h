@@ -5,22 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Record and replay of collection workloads (DESIGN.md §14).
+/// The execution engine for collection workloads (DESIGN.md §14), and
+/// its recorder.
 ///
-/// Recording: a `TraceCapture` armed on a run (ServerSim via
-/// `ServerSimConfig::RecordTo`, or a replay re-recording itself) collects
-/// the canonical per-task op stream — allocations, operations, retires,
-/// epoch boundaries — into a `Trace`. Disarmed, the hooks cost one null
-/// check per op.
+/// Replay: `replayTrace` runs a trace on a mutator pool — statically
+/// partitioned sessions, epoch barriers with a deterministic flush +
+/// forced GC — at any MutatorThreads count. For a valid trace the
+/// profiling report is byte-identical at every thread count. ServerSim
+/// (ServerSim.h) and the zoo (WorkloadGen.h) generate traces and run
+/// them here. Optionally the replay runs under the OnlineAdaptor (builtin
+/// rules, live migration with backoff/pinning) and/or the chaos fault
+/// injector.
 ///
-/// Replay: `replayTrace` feeds a trace back through the same mutator-pool
-/// shape ServerSim uses (statically partitioned sessions, epoch barriers
-/// with a deterministic flush + forced GC) at any MutatorThreads count.
-/// For a valid trace the profiling report is byte-identical to the
-/// recording run's at every thread count. Optionally the replay runs
-/// under the OnlineAdaptor (builtin rules, live migration with
-/// backoff/pinning) and/or the chaos fault injector — the adversarial
-/// harness the generated workloads in WorkloadGen.h are tuned for.
+/// Recording: a `TraceCapture` armed on a replay (`ReplayConfig::RecordTo`)
+/// collects the executed per-task op stream — allocations, operations,
+/// retires, epoch boundaries — back into a `Trace`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +36,8 @@
 
 namespace chameleon::apps {
 
-/// Emit-side helper: builds one task's op list. Cheap to construct; the
-/// recording hooks in ServerSim/replay only touch it when a capture is
-/// armed.
+/// Emit-side helper: builds one task's op list (trace generators and the
+/// replay's recorder).
 struct TaskTrace {
   TraceTask Task;
 
@@ -83,11 +81,11 @@ struct TaskTrace {
   }
 };
 
-/// Thread-safe collector for the task blocks of one recorded run. Workers
-/// submit finished tasks tagged with their epoch; `finish()` sorts each
-/// epoch into canonical task-id order and assembles the Trace, so the
-/// serialized bytes are identical no matter how the recording run's
-/// threads interleaved.
+/// Thread-safe collector for the task blocks of one recorded replay.
+/// Workers submit finished tasks tagged with their epoch; `finish()` sorts
+/// each epoch into canonical task-id order and assembles the Trace, so the
+/// serialized bytes are identical no matter how the replay's threads
+/// interleaved.
 class TraceCapture {
 public:
   /// Epoch tag for the boot task.
@@ -97,16 +95,9 @@ public:
   /// sizes the epoch structure).
   void begin(TraceHeader Header);
 
-  /// True between begin() and finish().
-  bool armed() const { return Active; }
-
   /// Submits one finished task. Thread-safe. \p Epoch is the 0-based
   /// epoch, or BootEpoch for the boot task.
   void addTask(uint32_t Epoch, TraceTask Task);
-
-  /// Submits a worker's whole epoch batch under one lock acquisition.
-  /// Recording hot paths use this so the capture mutex is uncontended.
-  void addTasks(uint32_t Epoch, std::vector<TraceTask> Tasks);
 
   /// Disarms and returns the assembled trace.
   Trace finish();
@@ -140,7 +131,9 @@ struct ReplayConfig {
   uint64_t ChaosSeed = 0xC4A05;
   /// Soft heap limit installed for a chaos run (0 = none).
   uint64_t ChaosSoftHeapLimitBytes = 0;
-  /// Re-record the replayed op stream (for round-trip verification).
+  /// When non-null, record the executed op stream into this capture (for
+  /// round-trip verification, or to save a generated workload). Observational:
+  /// the report is byte-identical to an unrecorded replay.
   TraceCapture *RecordTo = nullptr;
   /// When non-empty, arm the telemetry recorder and export the bundle
   /// into this directory at the end of the replay.
@@ -163,7 +156,8 @@ struct ReplayResult {
   /// Request tasks and total ops executed.
   uint64_t Tasks = 0;
   uint64_t Ops = 0;
-  /// The deterministic profiling report (same shape as ServerSim's).
+  /// The deterministic profiling report: the GC cycle records (without
+  /// wall-clock durations) plus canonically-ordered context statistics.
   std::string Report;
   /// OnlineAdapt/Chaos accounting (empty otherwise).
   std::string AdaptReport;
@@ -177,8 +171,10 @@ struct ReplayResult {
   std::vector<std::pair<ImplKind, uint32_t>> GlobalBackings;
 };
 
-/// The RuntimeConfig a replay runtime should be constructed with:
-/// ServerSim's determinism config plus the replay's revise period.
+/// The RuntimeConfig a replay runtime should be constructed with: the
+/// report's determinism config (buffered concurrent-mutator profiling,
+/// exact sampling, GC only at the epoch barriers) plus the replay's
+/// revise period.
 RuntimeConfig traceReplayRuntimeConfig(const ReplayConfig &Config);
 
 /// Replays \p T on \p RT. The trace is validated first (see

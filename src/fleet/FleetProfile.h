@@ -30,11 +30,11 @@
 #ifndef CHAMELEON_FLEET_FLEETPROFILE_H
 #define CHAMELEON_FLEET_FLEETPROFILE_H
 
-#include "fleet/Wire.h"
 #include "obs/DecisionLog.h"
 #include "obs/Metrics.h"
 #include "profiler/ContextInfo.h"
 #include "profiler/OpKind.h"
+#include "support/Wire.h"
 
 #include <array>
 #include <cstdint>

@@ -31,7 +31,7 @@
 #define CHAMELEON_FLEET_WIREFORMAT_H
 
 #include "fleet/FleetProfile.h"
-#include "fleet/Wire.h"
+#include "support/Wire.h"
 
 #include <cstdint>
 #include <string>

@@ -7,6 +7,7 @@
 #include "support/Format.h"
 
 #include <cassert>
+#include <cstdarg>
 #include <cstdio>
 
 using namespace chameleon;
@@ -39,6 +40,15 @@ std::string chameleon::formatDouble(double X, int Decimals) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.*f", Decimals, X);
   return Buf;
+}
+
+void chameleon::appendf(std::string &Out, const char *Fmt, ...) {
+  char Buf[512];
+  va_list Args;
+  va_start(Args, Fmt);
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  Out += Buf;
 }
 
 TextTable::TextTable(std::vector<std::string> Headers)

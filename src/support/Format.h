@@ -29,6 +29,10 @@ std::string formatPercent(double Fraction);
 /// Renders \p X with \p Decimals fractional digits.
 std::string formatDouble(double X, int Decimals = 2);
 
+/// Appends printf-style formatted text (at most 511 bytes) to \p Out.
+void appendf(std::string &Out, const char *Fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 /// Fixed-width plain-text table writer. Collects rows and renders them with
 /// columns sized to the widest cell, the format used by every bench binary.
 class TextTable {

@@ -14,8 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "fleet/FleetProfile.h"
-#include "fleet/Wire.h"
 #include "fleet/WireFormat.h"
+#include "support/Wire.h"
 
 #include <gtest/gtest.h>
 

@@ -655,9 +655,11 @@ struct TempState {
   AdtKind Adt = AdtKind::List;
 };
 
+/// \p Temps is scratch shared across tasks (cleared here) so validation
+/// allocates once per trace, not once per task.
 bool validateTask(const TraceTask &Task, const TraceHeader &Header,
                   bool IsBoot, std::vector<GlobalState> &Globals,
-                  std::string *Error) {
+                  std::vector<TempState> &Temps, std::string *Error) {
   auto taskFail = [&](const std::string &Msg) {
     return fail(Error, "task " + std::to_string(Task.Id) + ": " + Msg);
   };
@@ -666,7 +668,7 @@ bool validateTask(const TraceTask &Task, const TraceHeader &Header,
   if (!IsBoot && Task.Session >= Header.Sessions)
     return taskFail("session out of range");
 
-  std::vector<TempState> Temps;
+  Temps.clear();
   for (const TraceOp &Op : Task.Ops) {
     const uint32_t Slot = traceRegSlot(Op.Target);
     const bool IsTemp = traceRegIsTemp(Op.Target);
@@ -745,22 +747,36 @@ bool chameleon::apps::validateTrace(const Trace &T, std::string *Error) {
   if (T.Epochs.size() != T.Header.Epochs)
     return fail(Error, "epoch structure does not match the header");
   std::vector<GlobalState> Globals(T.Header.Globals);
+  std::vector<TempState> Temps;
+  // Strictly ascending task ids (every recorded or generated trace) are
+  // unique; only a trace with ids out of order pays for the hash set.
+  bool Ascending = true;
+  std::optional<uint64_t> PrevId;
+  if (T.Boot)
+    PrevId = T.Boot->Id;
+  for (const std::vector<TraceTask> &Epoch : T.Epochs)
+    for (const TraceTask &Task : Epoch) {
+      Ascending = Ascending && (!PrevId || Task.Id > *PrevId);
+      PrevId = Task.Id;
+    }
   std::unordered_set<uint64_t> Ids;
   if (T.Boot) {
     if (T.Boot->Session != TraceBootSession)
       return fail(Error, "boot task carries a request session");
     Ids.insert(T.Boot->Id);
-    if (!validateTask(*T.Boot, T.Header, /*IsBoot=*/true, Globals, Error))
+    if (!validateTask(*T.Boot, T.Header, /*IsBoot=*/true, Globals, Temps,
+                      Error))
       return false;
   }
   for (const std::vector<TraceTask> &Epoch : T.Epochs)
     for (const TraceTask &Task : Epoch) {
       if (Task.Session == TraceBootSession)
         return fail(Error, "boot task inside an epoch");
-      if (!Ids.insert(Task.Id).second)
+      if (!Ascending && !Ids.insert(Task.Id).second)
         return fail(Error,
                     "duplicate task id " + std::to_string(Task.Id));
-      if (!validateTask(Task, T.Header, /*IsBoot=*/false, Globals, Error))
+      if (!validateTask(Task, T.Header, /*IsBoot=*/false, Globals, Temps,
+                        Error))
         return false;
     }
   return true;

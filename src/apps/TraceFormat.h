@@ -95,13 +95,15 @@ inline constexpr uint32_t traceRegSlot(uint32_t Reg) { return Reg >> 1; }
 
 /// One recorded operation. Only the fields the opcode's operand shape
 /// names are meaningful; the rest stay zero so encoding is canonical.
+/// Fields are ordered so the struct packs into 32 bytes (two ops per cache
+/// line): a replayed trace streams hundreds of megabytes of them.
 struct TraceOp {
   TraceOpCode Code = TraceOpCode::Size;
-  /// Target register (traceGlobalReg / traceTempReg encoding).
-  uint32_t Target = 0;
   /// Alloc only: the abstract type and requested implementation.
   AdtKind Adt = AdtKind::List;
   ImplKind Impl = ImplKind::ArrayList;
+  /// Target register (traceGlobalReg / traceTempReg encoding).
+  uint32_t Target = 0;
   /// Alloc only: allocation-site index into TraceHeader::Frames.
   uint32_t SiteIdx = 0;
   /// Alloc only: requested capacity.
@@ -116,6 +118,7 @@ struct TraceOp {
            && Capacity == O.Capacity && A == O.A && B == O.B;
   }
 };
+static_assert(sizeof(TraceOp) == 32, "TraceOp must stay packed");
 
 /// One task: a globally unique id, the owning session (TraceBootSession
 /// for boot), the call-frame under which every op runs, and the ops.

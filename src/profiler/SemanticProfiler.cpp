@@ -329,38 +329,52 @@ void SemanticProfiler::boundPending(ProfilerThreadState &S) {
 void SemanticProfiler::flushMutatorBuffers() {
   if (!MtActive.load(std::memory_order_acquire))
     return;
-  // Gather every thread's buffer. Callers guarantee a quiescent world, so
-  // no state is being appended to; StatesMu only fences against the
-  // (already impossible) creation race and orders the gathered memory.
-  std::vector<PendingProfileEvent> All;
-  {
-    std::lock_guard<std::mutex> L(StatesMu);
-    auto Gather = [&All](ProfilerThreadState &S) {
-      All.insert(All.end(), std::make_move_iterator(S.Pending.begin()),
-                 std::make_move_iterator(S.Pending.end()));
-      S.Pending.clear();
-    };
-    Gather(MainState);
-    for (const std::unique_ptr<ProfilerThreadState> &S : States)
-      Gather(*S);
-  }
   // Deterministic replay: ascending (Task, Seq). With globally-unique task
   // ids the order — and so every order-sensitive Welford fold — is
-  // independent of how tasks were laid out on threads.
-  std::stable_sort(
-      All.begin(), All.end(),
-      [](const PendingProfileEvent &A, const PendingProfileEvent &B) {
-        return A.Task != B.Task ? A.Task < B.Task : A.Seq < B.Seq;
-      });
-  for (PendingProfileEvent &E : All) {
-    if (E.Kind == PendingProfileEvent::Alloc) {
-      ++FoldedAllocs;
-      E.Ctx->recordAllocation(E.InitialCapacity);
-    } else {
-      ++FoldedDeaths;
-      E.Ctx->foldSnapshot(E.Snapshot);
+  // independent of how tasks were laid out on threads. A task never spans
+  // threads and Seq grows per thread, so every buffer is a series of
+  // one-task runs in Seq order: folding the runs in (Task, first Seq)
+  // order, each in place, is the event-by-event order without moving an
+  // event. Ties keep the gather order (main state first). Callers
+  // guarantee a quiescent world; StatesMu only fences against the
+  // (already impossible) creation race and orders the buffered memory.
+  struct TaskRun {
+    PendingProfileEvent *Begin, *End;
+  };
+  std::vector<TaskRun> Runs;
+  std::lock_guard<std::mutex> L(StatesMu);
+  auto ScanRuns = [&Runs](ProfilerThreadState &S) {
+    PendingProfileEvent *E = S.Pending.data(), *Last = E + S.Pending.size();
+    while (E != Last) {
+      PendingProfileEvent *RunEnd = E + 1;
+      while (RunEnd != Last && RunEnd->Task == E->Task)
+        ++RunEnd;
+      Runs.push_back({E, RunEnd});
+      E = RunEnd;
     }
-  }
+  };
+  ScanRuns(MainState);
+  for (const std::unique_ptr<ProfilerThreadState> &S : States)
+    ScanRuns(*S);
+  std::stable_sort(Runs.begin(), Runs.end(),
+                   [](const TaskRun &A, const TaskRun &B) {
+                     return A.Begin->Task != B.Begin->Task
+                                ? A.Begin->Task < B.Begin->Task
+                                : A.Begin->Seq < B.Begin->Seq;
+                   });
+  for (const TaskRun &Run : Runs)
+    for (PendingProfileEvent *E = Run.Begin; E != Run.End; ++E) {
+      if (E->Kind == PendingProfileEvent::Alloc) {
+        ++FoldedAllocs;
+        E->Ctx->recordAllocation(E->InitialCapacity);
+      } else {
+        ++FoldedDeaths;
+        E->Ctx->foldSnapshot(E->Snapshot);
+      }
+    }
+  MainState.Pending.clear();
+  for (const std::unique_ptr<ProfilerThreadState> &S : States)
+    S->Pending.clear();
 }
 
 void SemanticProfiler::flushEpoch() {

@@ -28,8 +28,9 @@ class PageArena;
 
 /// Every pooled or direct block starts with one of these; the user storage
 /// (a HeapObject) begins immediately after. 16 bytes so the layout
-/// guarantee in SizeClasses.h holds.
-struct alignas(16) BlockHeader {
+/// guarantee in SizeClasses.h holds. Only 8-aligned as a type: blocks of
+/// the 8-mod-16 classes below 128 bytes sit at 8-aligned addresses.
+struct BlockHeader {
   /// Lifecycle tag (kLiveTag / kFreeTag / kDirectTag). Any other value on
   /// a deallocation path means the pointer never came from this allocator.
   uint64_t State;
@@ -38,6 +39,8 @@ struct alignas(16) BlockHeader {
   /// reserved-bytes gauge can account them.
   uint64_t ClassOrSize;
 };
+static_assert(sizeof(BlockHeader) == 16,
+              "the header keeps 16-multiple blocks' payloads 16-aligned");
 
 inline constexpr uint64_t kLiveTag = 0xA110CA7E0115A11Eull;
 inline constexpr uint64_t kFreeTag = 0xF4EEB10CF4EEB10Cull;

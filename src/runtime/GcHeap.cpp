@@ -586,16 +586,6 @@ public:
     Worklist.reserve(Heap.objectsInUse());
   }
 
-  void visit(ObjectRef Ref) override {
-    if (Ref.isNull())
-      return;
-    HeapObject &Obj = Heap.get(Ref);
-    if (Obj.MarkEpoch.load(std::memory_order_relaxed) == Epoch)
-      return;
-    Obj.MarkEpoch.store(Epoch, std::memory_order_relaxed);
-    Worklist.push_back(&Obj);
-  }
-
   /// Drains the worklist, invoking \p OnMarked for each newly marked object.
   template <typename CallbackT> void run(CallbackT OnMarked) {
     while (!Worklist.empty()) {
@@ -604,6 +594,16 @@ public:
       OnMarked(*Obj);
       Obj->trace(*this);
     }
+  }
+
+protected:
+  void visitNonNull(ObjectRef Ref) override {
+    HeapObject &Obj = Heap.get(Ref);
+    std::atomic<uint64_t> &Mark = Heap.markOf(Ref.slot());
+    if (Mark.load(std::memory_order_relaxed) == Epoch)
+      return;
+    Mark.store(Epoch, std::memory_order_relaxed);
+    Worklist.push_back(&Obj);
   }
 
 private:
@@ -661,9 +661,9 @@ void GcHeap::markPhase(GcCycleRecord &Record) {
 }
 
 /// The multi-threaded tracing phase (paper §4.3.2). Objects are claimed
-/// with a compare-and-swap on their mark epoch, so each is processed by
-/// exactly one worker; every statistic is a commutative sum, so the cycle
-/// record is identical to the sequential marker's. Collection events
+/// with a compare-and-swap on their slot's mark entry, so each is processed
+/// by exactly one worker; every statistic is a commutative sum, so the
+/// cycle record is identical to the sequential marker's. Collection events
 /// (wrapper, sizes, context tag) are buffered per worker and replayed on
 /// the calling thread after the join, because the profiler hooks are not
 /// thread-safe.
@@ -694,11 +694,12 @@ public:
     if (Ref.isNull())
       return nullptr;
     HeapObject &Obj = Heap.get(Ref);
-    uint64_t Expected = Obj.MarkEpoch.load(std::memory_order_relaxed);
+    std::atomic<uint64_t> &Mark = Heap.markOf(Ref.slot());
+    uint64_t Expected = Mark.load(std::memory_order_relaxed);
     if (Expected == Epoch)
       return nullptr;
-    if (!Obj.MarkEpoch.compare_exchange_strong(
-            Expected, Epoch, std::memory_order_acq_rel))
+    if (!Mark.compare_exchange_strong(Expected, Epoch,
+                                      std::memory_order_acq_rel))
       return nullptr; // another worker got it
     return &Obj;
   }
@@ -755,7 +756,8 @@ private:
                  std::vector<HeapObject *> &Local)
         : Parent(Parent), Local(Local) {}
 
-    void visit(ObjectRef Ref) override {
+  protected:
+    void visitNonNull(ObjectRef Ref) override {
       if (HeapObject *Obj = Parent.claim(Ref))
         Local.push_back(Obj);
     }
@@ -877,8 +879,7 @@ void GcHeap::sweepPhase(GcCycleRecord &Record) {
        Slot != E; ++Slot) {
     std::unique_ptr<HeapObject> &Cell = slotRef(Slot);
     HeapObject *Obj = Cell.get();
-    if (!Obj
-        || Obj->MarkEpoch.load(std::memory_order_relaxed) == CurrentEpoch)
+    if (!Obj || markOf(Slot).load(std::memory_order_relaxed) == CurrentEpoch)
       continue;
 
     const SemanticMap &Map = Types.get(Obj->typeId());
@@ -890,11 +891,12 @@ void GcHeap::sweepPhase(GcCycleRecord &Record) {
 
     Record.FreedBytes += Obj->shallowBytes();
     ++Record.FreedObjects;
-    BytesInUse.fetch_sub(Obj->shallowBytes(), std::memory_order_relaxed);
-    ObjectsInUse.fetch_sub(1, std::memory_order_relaxed);
     Cell.reset();
     FreeSlots.push_back(Slot);
   }
+  // One shared update per cycle, as the parallel sweep does.
+  BytesInUse.fetch_sub(Record.FreedBytes, std::memory_order_relaxed);
+  ObjectsInUse.fetch_sub(Record.FreedObjects, std::memory_order_relaxed);
 }
 
 /// The multi-threaded sweep. Each worker scans one contiguous slot range
@@ -933,7 +935,7 @@ void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
     for (uint32_t Slot = Begin; Slot != End; ++Slot) {
       HeapObject *Obj = slotRef(Slot).get();
       if (!Obj
-          || Obj->MarkEpoch.load(std::memory_order_relaxed) == CurrentEpoch)
+          || markOf(Slot).load(std::memory_order_relaxed) == CurrentEpoch)
         continue;
       State.FreedBytes += Obj->shallowBytes();
       ++State.FreedObjects;
@@ -1137,15 +1139,16 @@ public:
   explicit VerifyTracer(std::function<bool(uint32_t)> SlotOccupied)
       : SlotOccupied(std::move(SlotOccupied)) {}
 
-  void visit(ObjectRef Ref) override {
-    if (Ref.isNull() || !Problem.empty())
+  std::string Problem;
+
+protected:
+  void visitNonNull(ObjectRef Ref) override {
+    if (!Problem.empty())
       return;
     if (!SlotOccupied(Ref.slot()))
       Problem = "dangling reference to slot "
                 + std::to_string(Ref.slot());
   }
-
-  std::string Problem;
 
 private:
   std::function<bool(uint32_t)> SlotOccupied;

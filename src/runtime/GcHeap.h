@@ -14,19 +14,19 @@
 ///
 /// The collector follows the paper's base parallel mark-and-sweep design
 /// (§4.3.2): tracing runs on `gcThreads()` workers (1 by default) that
-/// claim objects with a CAS on the mark epoch, and sweeping partitions the
-/// slot table into one contiguous range per worker. The workers live in a
-/// persistent `GcWorkerPool` owned by the heap (created lazily on the first
-/// parallel cycle), so a cycle costs a wake/notify rather than a thread
-/// spawn/join. Every cycle statistic is a commutative sum and every
-/// profiler event is buffered per worker and replayed on the calling thread
-/// in slot order after the phase barrier, so the recorded metrics are
-/// identical at any thread count. During marking the collector consults the
-/// semantic ADT map of every object and, for collection wrappers, computes
-/// the ADT's live / used / core sizes and reports them to the installed
-/// profiler hooks; during sweeping it reports dying collections so their
-/// per-instance statistics can be folded into their allocation context (the
-/// sweep-phase alternative to finalizers, §4.4).
+/// claim objects with a CAS on their slot's mark entry, and sweeping
+/// partitions the slot table into one contiguous range per worker. The
+/// workers live in a persistent `GcWorkerPool` owned by the heap (created
+/// lazily on the first parallel cycle), so a cycle costs a wake/notify
+/// rather than a thread spawn/join. Every cycle statistic is a commutative
+/// sum and every profiler event is buffered per worker and replayed on the
+/// calling thread in slot order after the phase barrier, so the recorded
+/// metrics are identical at any thread count. During marking the collector
+/// consults the semantic ADT map of every object and, for collection
+/// wrappers, computes the ADT's live / used / core sizes and reports them
+/// to the installed profiler hooks; during sweeping it reports dying
+/// collections so their per-instance statistics can be folded into their
+/// allocation context (the sweep-phase alternative to finalizers, §4.4).
 ///
 /// The *mutator* side admits N application threads (DESIGN.md §9): each
 /// thread registers through `registerMutatorThread` (see the runtime
@@ -430,14 +430,25 @@ private:
   static constexpr uint32_t MaxSlotChunks = 1u << 14; // 64M slots
   struct SlotChunk {
     std::unique_ptr<HeapObject> Objs[SlotChunkCapacity];
+    /// Mark side table (DESIGN.md §4): a slot's object is live in cycle N
+    /// iff its entry is N, so a collection never writes a live object.
+    /// Epochs only grow, so a recycled slot starts unmarked. Atomic for the
+    /// parallel markers' CAS; the sequential paths use relaxed accesses.
+    std::atomic<uint64_t> Marks[SlotChunkCapacity] = {};
   };
 
-  std::unique_ptr<HeapObject> &slotRef(uint32_t Slot) const {
+  SlotChunk &chunkOf(uint32_t Slot) const {
     assert((Slot >> SlotChunkShift) < MaxSlotChunks && "slot out of range");
     SlotChunk *C =
         Chunks[Slot >> SlotChunkShift].load(std::memory_order_acquire);
     assert(C && "slot in an unallocated chunk");
-    return C->Objs[Slot & (SlotChunkCapacity - 1)];
+    return *C;
+  }
+  std::unique_ptr<HeapObject> &slotRef(uint32_t Slot) const {
+    return chunkOf(Slot).Objs[Slot & (SlotChunkCapacity - 1)];
+  }
+  std::atomic<uint64_t> &markOf(uint32_t Slot) const {
+    return chunkOf(Slot).Marks[Slot & (SlotChunkCapacity - 1)];
   }
 
   /// The single-threaded allocation body (caller holds AllocMu when

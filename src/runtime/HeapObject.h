@@ -7,9 +7,10 @@
 /// \file
 /// Base class for every object living in the managed heap. An object carries
 /// the `TypeId` under which its semantic map was registered, its simulated
-/// size in bytes under the `MemoryModel`, and GC bookkeeping (slot index and
-/// mark epoch). Subclasses enumerate their outgoing references by overriding
-/// `trace`.
+/// size in bytes under the `MemoryModel`, and its own slot reference. The
+/// collector keeps mark state in a side table next to the slot (see
+/// `GcHeap`), so a collection never writes to a live object. Subclasses
+/// enumerate their outgoing references by overriding `trace`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,6 @@
 
 #include "runtime/ObjectRef.h"
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -35,8 +35,16 @@ class GcTracer {
 public:
   virtual ~GcTracer();
 
-  /// Marks \p Ref live and queues it for tracing. Null refs are ignored.
-  virtual void visit(ObjectRef Ref) = 0;
+  /// Marks \p Ref live and queues it for tracing. Null refs are ignored
+  /// here, before any virtual dispatch (most reference fields are null).
+  void visit(ObjectRef Ref) {
+    if (!Ref.isNull())
+      visitNonNull(Ref);
+  }
+
+protected:
+  /// The tracer's action on a non-null reference.
+  virtual void visitNonNull(ObjectRef Ref) = 0;
 };
 
 /// A managed heap object. C++-side ownership belongs to the heap; program
@@ -82,10 +90,6 @@ private:
   TypeId Type;
   uint64_t ShallowBytes;
   ObjectRef Self;
-  /// Object is live in cycle N iff MarkEpoch == heap's current epoch.
-  /// Atomic so parallel marker threads can claim objects with a CAS; the
-  /// sequential path uses relaxed loads/stores (same cost as plain ones).
-  std::atomic<uint64_t> MarkEpoch{0};
 };
 
 } // namespace chameleon

@@ -193,4 +193,34 @@ TEST(TraceFormat, ValidatorCatchesReplayUnsafeTraces) {
   }
 }
 
+/// Task ids ascend in generated traces, and the validator needs no hash
+/// set for those. Once the order breaks, an out-of-order id alone is
+/// valid, and a later duplicate of any id, one from before the break
+/// included, is reported with the usual message.
+TEST(TraceFormat, DuplicateIdAfterOrderBreakIsReported) {
+  Trace T = generateBurstTrace(smallConfig());
+  std::string Error;
+  ASSERT_TRUE(validateTrace(T, &Error)) << Error;
+  auto EmptyTask = [](uint64_t Id) {
+    TraceTask Task;
+    Task.Id = Id;
+    Task.Session = 0;
+    Task.FrameIdx = 0;
+    return Task;
+  };
+  const uint64_t FirstId = T.Epochs.front().front().Id;
+  const uint64_t LastId = T.Epochs.back().back().Id;
+  T.Epochs.back().push_back(EmptyTask(LastId + 10));
+  T.Epochs.back().push_back(EmptyTask(LastId + 5)); // breaks the order
+  EXPECT_TRUE(validateTrace(T, &Error)) << Error;
+
+  T.Epochs.back().push_back(EmptyTask(FirstId));
+  EXPECT_FALSE(validateTrace(T, &Error));
+  EXPECT_EQ(Error, "trace: duplicate task id " + std::to_string(FirstId));
+
+  T.Epochs.back().back() = EmptyTask(LastId + 5);
+  EXPECT_FALSE(validateTrace(T, &Error));
+  EXPECT_EQ(Error, "trace: duplicate task id " + std::to_string(LastId + 5));
+}
+
 } // namespace

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 using namespace chameleon;
 
 namespace {
@@ -286,6 +290,90 @@ TEST(SemanticProfiler, FingerprintTracksPushPop) {
   EXPECT_EQ(P.stackFingerprint(), AfterA);
   P.popFrame();
   EXPECT_EQ(P.stackFingerprint(), Empty);
+}
+
+/// One profile event of the fold-order test: its task and the value it
+/// folds. Values divisible by 3 are deaths (usage snapshot), the rest
+/// allocations (initial capacity).
+struct FoldEvent {
+  uint64_t Task;
+  uint32_t Value;
+};
+
+void emitEvents(SemanticProfiler &P, ContextInfo *Ctx,
+                const std::vector<FoldEvent> &Events) {
+  for (const FoldEvent &E : Events) {
+    P.setCurrentTask(E.Task);
+    if (E.Value % 3 != 0) {
+      P.noteAllocation(Ctx, E.Value);
+      continue;
+    }
+    ObjectContextInfo Usage;
+    for (uint32_t I = 0; I < E.Value % 7; ++I)
+      Usage.count(OpKind::Put);
+    Usage.noteSize(E.Value);
+    P.noteDeath(Ctx, Usage);
+  }
+}
+
+/// Every trace accumulator of a context, as exact doubles.
+std::vector<double> foldedState(const ContextInfo &Ctx) {
+  const ContextStatsBundle B = Ctx.exportStats();
+  std::vector<double> Out = {static_cast<double>(B.Allocations),
+                             static_cast<double>(B.Folded)};
+  auto Add = [&Out](const RunningStat &S) {
+    Out.insert(Out.end(), {static_cast<double>(S.count()), S.mean(), S.m2(),
+                           S.min(), S.max()});
+  };
+  for (const RunningStat &S : B.OpStats)
+    Add(S);
+  Add(B.MaxSizeStat);
+  Add(B.FinalSizeStat);
+  Add(B.InitialCapacityStat);
+  return Out;
+}
+
+/// Folds \p Events directly, in the given order, on one thread.
+std::vector<double> foldedOnOneThread(const std::vector<FoldEvent> &Events) {
+  SemanticProfiler P;
+  ContextInfo *Ctx =
+      P.contextForAllocation(P.internFrame("site:1"), P.internFrame("HashMap"));
+  emitEvents(P, Ctx, Events);
+  return foldedState(*Ctx);
+}
+
+/// The epoch flush folds each thread's buffer by task runs. Two threads
+/// with interleaved task ids, one re-entering a task (1, 4, 1), must fold
+/// exactly as the same events folded one by one in (Task, Seq) order.
+TEST(SemanticProfiler, FlushFoldsTaskRunsInTaskSeqOrder) {
+  const std::vector<FoldEvent> Main = {{0, 5}, {0, 7}};
+  const std::vector<FoldEvent> T1 = {{1, 11}, {1, 13}, {1, 4},  {4, 17},
+                                     {4, 21}, {1, 19}, {1, 23}};
+  const std::vector<FoldEvent> T2 = {{2, 29}, {2, 6}, {5, 31}, {3, 37},
+                                     {3, 9}};
+
+  ProfilerConfig Config;
+  Config.ConcurrentMutators = true;
+  SemanticProfiler P(Config);
+  ContextInfo *Ctx =
+      P.contextForAllocation(P.internFrame("site:1"), P.internFrame("HashMap"));
+  emitEvents(P, Ctx, Main);
+  std::thread([&] { emitEvents(P, Ctx, T1); }).join();
+  std::thread([&] { emitEvents(P, Ctx, T2); }).join();
+  P.flushEpoch();
+
+  std::vector<FoldEvent> Gathered = Main;
+  Gathered.insert(Gathered.end(), T1.begin(), T1.end());
+  Gathered.insert(Gathered.end(), T2.begin(), T2.end());
+  std::vector<FoldEvent> TaskSeq = Gathered;
+  std::stable_sort(TaskSeq.begin(), TaskSeq.end(),
+                   [](const FoldEvent &A, const FoldEvent &B) {
+                     return A.Task < B.Task;
+                   });
+  // The values are order-sensitive: folding them in gather order gives
+  // different bits, so the comparison below pins the order itself.
+  ASSERT_NE(foldedOnOneThread(Gathered), foldedOnOneThread(TaskSeq));
+  EXPECT_EQ(foldedState(*Ctx), foldedOnOneThread(TaskSeq));
 }
 
 } // namespace

@@ -110,6 +110,31 @@ TEST(AllocatorStress, RawBlockRoundTrip) {
   deallocateBlock(Big);
 }
 
+/// Every block a span carves keeps the class's alignment: payloads of
+/// 16-multiple classes are 16-aligned (what 16-aligned types need), the
+/// rest 8-aligned. Allocates past a transfer batch so blocks deep inside
+/// fresh spans are checked too. Starts at the first class whose payload
+/// holds the free-list link (classIndexFor(24)).
+TEST(AllocatorStress, SixteenMultipleClassesKeepPayloadsAligned) {
+  using namespace chameleon::alloc;
+  ASSERT_EQ(mode(), Mode::Cached);
+  for (uint32_t C = classIndexFor(sizeof(BlockHeader) + sizeof(void *));
+       C < kNumClasses; ++C) {
+    const size_t UserSize = classSize(C) - sizeof(BlockHeader);
+    const size_t Align = classSize(C) % 16 == 0 ? 16 : 8;
+    std::vector<void *> Blocks;
+    for (uint32_t I = 0; I < 2 * transferBatch(C) + 1; ++I) {
+      void *P = allocateBlock(UserSize);
+      EXPECT_EQ(blockOfPayload(P)->ClassOrSize, C);
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % Align, 0u)
+          << "class " << C << " block " << I;
+      Blocks.push_back(P);
+    }
+    for (void *P : Blocks)
+      deallocateBlock(P);
+  }
+}
+
 /// A freed-block pointer returned twice is counted and leaked, never
 /// pushed onto a free list a second time.
 TEST(AllocatorStress, DoubleFreeCountedAndContained) {

@@ -262,4 +262,69 @@ TEST_F(GcHeapTest, RootCountTracksHandles) {
   EXPECT_EQ(Heap.rootCount(), 0u);
 }
 
+/// The collector keeps its mark state beside the slot table, so a cycle
+/// neither writes to a live object (marking) nor reads one it keeps
+/// (sweeping): a live object's bytes are the same before and after, at
+/// any collector thread count.
+TEST_F(GcHeapTest, MarkingLeavesLiveObjectsUntouched) {
+  for (unsigned Threads : {1u, 4u}) {
+    GcHeap H;
+    H.setGcThreads(Threads);
+    TypeId NodeType = registerNodeType(H);
+    std::vector<ObjectRef> Live;
+    for (int I = 0; I < 256; ++I) {
+      Live.push_back(allocNode(H, NodeType, 2, 24));
+      if (I > 0)
+        H.getAs<Node>(Live[I - 1]).setRef(0, Live[I]);
+      allocNode(H, NodeType, 0, 16); // garbage between live objects
+    }
+    Handle Root(H, Live.front());
+    auto Bytes = [&H](ObjectRef Ref) {
+      const auto *P = reinterpret_cast<const unsigned char *>(&H.get(Ref));
+      return std::vector<unsigned char>(P, P + sizeof(Node));
+    };
+    std::vector<std::vector<unsigned char>> Before;
+    for (ObjectRef Ref : Live)
+      Before.push_back(Bytes(Ref));
+    for (int Cycle = 0; Cycle < 2; ++Cycle) {
+      const GcCycleRecord &Rec = H.collect(/*Forced=*/true);
+      EXPECT_EQ(Rec.LiveObjects, Live.size()) << Threads;
+    }
+    for (size_t I = 0; I < Live.size(); ++I)
+      EXPECT_EQ(Bytes(Live[I]), Before[I])
+          << "object " << I << " at " << Threads << " GC threads";
+  }
+}
+
+/// A slot's mark entry outlives the object that was marked in it; the
+/// next object allocated into the slot must still start unmarked.
+TEST_F(GcHeapTest, RecycledSlotStartsUnmarked) {
+  for (unsigned Threads : {1u, 4u}) {
+    GcHeap H;
+    H.setGcThreads(Threads);
+    TypeId NodeType = registerNodeType(H);
+    const ObjectRef Old = allocNode(H, NodeType, 0);
+    {
+      Handle Root(H, Old);
+      H.collect(/*Forced=*/true); // marks Old's slot entry
+    }
+    EXPECT_EQ(H.collect(true).FreedObjects, 1u); // frees Old's slot
+
+    const ObjectRef Unrooted = allocNode(H, NodeType, 0);
+    ASSERT_EQ(Unrooted.slot(), Old.slot()) << Threads;
+    const GcCycleRecord &Dies = H.collect(true);
+    EXPECT_EQ(Dies.LiveObjects, 0u) << Threads;
+    EXPECT_EQ(Dies.FreedObjects, 1u) << Threads;
+
+    const ObjectRef Rooted = allocNode(H, NodeType, 0);
+    ASSERT_EQ(Rooted.slot(), Old.slot()) << Threads;
+    Handle Keep(H, Rooted);
+    const GcCycleRecord &Survives = H.collect(true);
+    EXPECT_EQ(Survives.LiveObjects, 1u) << Threads;
+    EXPECT_EQ(Survives.FreedObjects, 0u) << Threads;
+    EXPECT_EQ(H.objectsInUse(), 1u) << Threads;
+    EXPECT_TRUE(H.verifyHeap()) << Threads;
+  }
+}
+
 } // namespace

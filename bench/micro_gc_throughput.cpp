@@ -7,11 +7,11 @@
 /// \file
 /// Times the three GC/profiler hot paths this repository optimises:
 ///
-///  1. full mark+sweep cycles at 1/2/4/8 threads with the persistent
-///     worker pool versus the spawn-per-cycle fallback (the pool's win is
-///     the per-cycle thread start/join cost);
+///  1. full mark+sweep cycles at 1/2/4/8 collector threads (the caller
+///     plus parked helper threads claiming job-board items);
 ///  2. sweep-heavy cycles (most of the heap garbage each cycle) where the
-///     parallel sweep partitions the slot walk;
+///     parallel sweep partitions the slot walk, and frequent small cycles
+///     where the per-cycle fixed cost dominates;
 ///  3. `contextForAllocation` throughput with and without the stack-
 ///     fingerprint fast-path cache.
 ///
@@ -41,12 +41,11 @@ constexpr int CyclesPerMeasurement = 9;
 /// Median wall-clock milliseconds per forced GC cycle on a runtime holding
 /// a large live set; \p GarbageChurn additionally allocates a garbage wave
 /// before every cycle so the sweep has real work.
-double cycleMillis(unsigned Threads, bool UsePool, bool GarbageChurn,
+double cycleMillis(unsigned Threads, bool GarbageChurn,
                    uint64_t *LiveObjectsOut = nullptr) {
   RuntimeConfig Config;
   Config.Profiler.Enabled = false;
   Config.GcThreads = Threads;
-  Config.GcUseWorkerPool = UsePool;
   CollectionRuntime RT(Config);
   FrameId Site = RT.site("gc:1");
 
@@ -88,12 +87,11 @@ double cycleMillis(unsigned Threads, bool UsePool, bool GarbageChurn,
 /// Mean microseconds per forced cycle on a *small* live heap collected at
 /// high frequency — the profiled-run regime (a statistics-sampling cycle
 /// every few hundred KiB of allocation), where the per-cycle fixed cost
-/// (thread start/join versus pool wake) dominates the phase work itself.
-double frequentCycleMicros(unsigned Threads, bool UsePool) {
+/// (posting items and waking helpers) dominates the phase work itself.
+double frequentCycleMicros(unsigned Threads) {
   RuntimeConfig Config;
   Config.Profiler.Enabled = false;
   Config.GcThreads = Threads;
-  Config.GcUseWorkerPool = UsePool;
   CollectionRuntime RT(Config);
   FrameId Site = RT.site("gc:2");
 
@@ -147,7 +145,7 @@ double captureRate(bool FastPath, uint64_t *HitsOut = nullptr) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::printf("== micro: GC throughput (worker pool, parallel sweep, "
+  std::printf("== micro: GC throughput (job-board helpers, parallel sweep, "
               "context fast path) ==\n\n");
   std::printf("host cores: %u\n\n", std::thread::hardware_concurrency());
 
@@ -155,45 +153,30 @@ int main(int argc, char **argv) {
   Json.field("bench", "micro_gc_throughput");
   Json.field("cores",
              static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  bench::addProvenance(Json);
 
-  TextTable Pool({"threads", "spawn/cycle (ms)", "pool (ms)", "pool gain",
-                  "churn spawn (ms)", "churn pool (ms)"});
+  TextTable Cycles({"threads", "cycle (ms)", "churn cycle (ms)"});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     uint64_t LiveObjects = 0;
-    double Spawn = cycleMillis(Threads, /*UsePool=*/false,
-                               /*GarbageChurn=*/false);
-    double Pooled = cycleMillis(Threads, /*UsePool=*/true,
-                                /*GarbageChurn=*/false, &LiveObjects);
-    double SpawnChurn = cycleMillis(Threads, /*UsePool=*/false,
-                                    /*GarbageChurn=*/true);
-    double PooledChurn = cycleMillis(Threads, /*UsePool=*/true,
-                                     /*GarbageChurn=*/true);
-    Pool.addRow({std::to_string(Threads), formatDouble(Spawn, 3),
-                 formatDouble(Pooled, 3),
-                 formatDouble(Spawn / Pooled, 2) + "x",
-                 formatDouble(SpawnChurn, 3), formatDouble(PooledChurn, 3)});
+    double Plain = cycleMillis(Threads, /*GarbageChurn=*/false, &LiveObjects);
+    double Churn = cycleMillis(Threads, /*GarbageChurn=*/true);
+    Cycles.addRow({std::to_string(Threads), formatDouble(Plain, 3),
+                   formatDouble(Churn, 3)});
     Json.beginRecord("gc_cycles");
     Json.record("threads", static_cast<uint64_t>(Threads));
     Json.record("live_objects", LiveObjects);
-    Json.record("spawn_per_cycle_ms", Spawn);
-    Json.record("worker_pool_ms", Pooled);
-    Json.record("spawn_churn_ms", SpawnChurn);
-    Json.record("worker_pool_churn_ms", PooledChurn);
+    Json.record("worker_pool_ms", Plain);
+    Json.record("worker_pool_churn_ms", Churn);
   }
-  std::printf("%s\n", Pool.render().c_str());
+  std::printf("%s\n", Cycles.render().c_str());
 
-  TextTable Frequent({"threads", "spawn/cycle (us)", "pool (us)",
-                      "pool gain"});
+  TextTable Frequent({"threads", "cycle (us)"});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    double Spawn = frequentCycleMicros(Threads, /*UsePool=*/false);
-    double Pooled = frequentCycleMicros(Threads, /*UsePool=*/true);
-    Frequent.addRow({std::to_string(Threads), formatDouble(Spawn, 1),
-                     formatDouble(Pooled, 1),
-                     formatDouble(Spawn / Pooled, 2) + "x"});
+    double Micros = frequentCycleMicros(Threads);
+    Frequent.addRow({std::to_string(Threads), formatDouble(Micros, 1)});
     Json.beginRecord("gc_cycles");
     Json.record("threads", static_cast<uint64_t>(Threads));
-    Json.record("frequent_spawn_per_cycle_us", Spawn);
-    Json.record("frequent_worker_pool_us", Pooled);
+    Json.record("frequent_worker_pool_us", Micros);
   }
   std::printf("frequent small cycles (profiled-run regime):\n%s\n",
               Frequent.render().c_str());
@@ -214,10 +197,11 @@ int main(int argc, char **argv) {
   Json.record("context_capture_per_sec_cache_off", SlowRate);
   Json.record("context_cache_hits", Hits);
 
-  std::printf("shape: the pool removes the per-cycle thread start/join, so "
-              "its win grows with\nthread count and cycle frequency; the "
-              "fingerprint cache removes the per-capture\nContextKey build "
-              "and hash probe. Statistics are identical in every mode.\n");
+  std::printf("shape: helper threads stay parked on the job board between "
+              "cycles, so a cycle\npays a post and a wake, not a thread "
+              "start; the fingerprint cache removes the\nper-capture "
+              "ContextKey build and hash probe. Statistics are identical in "
+              "every mode.\n");
 
   std::string JsonPath = bench::jsonOutputPath(argc, argv);
   if (!JsonPath.empty()) {

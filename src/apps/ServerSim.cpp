@@ -306,8 +306,9 @@ ServerSimResult chameleon::apps::runServerSim(CollectionRuntime &RT,
       // just-folded (post-flush, canonically renumbered) profile, then a
       // deterministic migration flip of the session collections so the
       // full lifecycle (start/build/verify/publish/commit) appears in the
-      // ledger. Main thread only, workers parked: the record order is a
-      // pure function of the workload, never of thread scheduling.
+      // ledger. Run by the last worker to reach the barrier with every
+      // other worker parked: the record order is a pure function of the
+      // workload, never of thread scheduling.
       std::vector<rules::Suggestion> Suggs;
       for (const ContextInfo *Ctx : RT.profiler().contexts())
         LedgerEngine->evaluateContext(*Ctx, RT.profiler(), Suggs);

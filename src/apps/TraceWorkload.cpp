@@ -6,6 +6,7 @@
 
 #include "apps/TraceWorkload.h"
 
+#include "obs/Metrics.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "support/FaultInjector.h"
@@ -14,8 +15,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <thread>
 
 using namespace chameleon;
@@ -69,13 +71,17 @@ namespace {
 
 constexpr uint64_t Gamma = 0x9E3779B97F4A7C15ULL;
 
-/// Epoch barrier: workers park in a GcSafeRegion while the main thread
-/// flushes the profile buffers and forces the epoch GC.
+// How long each worker stays parked per epoch barrier (timing only).
+CHAM_METRIC_HDR(BarrierParkHdrNanos, "cham.server.barrier_park_hdr_nanos");
+
+/// Epoch barrier, run by the workers themselves (DESIGN.md §14.2): each
+/// parks in a GcSafeRegion and counts itself in; the last to arrive runs
+/// the barrier body, then advances the generation, which releases the
+/// others. Parked workers help the barrier's collection on the heap's job
+/// board.
 struct ReplayBarrier {
-  std::mutex Mu;
-  std::condition_variable Cv;
-  uint32_t Arrived = 0;
-  uint64_t Generation = 0;
+  std::atomic<uint32_t> Arrived{0};
+  std::atomic<uint64_t> Generation{0};
 };
 
 /// Run state shared with the workers. Globals are rooted by main-thread
@@ -383,11 +389,21 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
   return TT.Ops.size();
 }
 
+/// The calling thread's CPU time.
+uint64_t threadCpuNanos() {
+  timespec Ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
+  return static_cast<uint64_t>(Ts.tv_sec) * 1000000000ull
+         + static_cast<uint64_t>(Ts.tv_nsec);
+}
+
 /// Worker body: session s belongs to worker s % Threads, tasks run in
 /// trace order, and every epoch ends at the barrier.
 void replayWorker(CollectionRuntime &RT, ReplayShared &S, ReplayBarrier &B,
-                  uint32_t Tid, std::atomic<uint64_t> &OpsOut) {
+                  const ReplayConfig &Config, uint32_t Tid,
+                  ReplayWorkerStats &Out) {
   MutatorScope Scope(RT);
+  GcHelperSeat Seat(RT.heap());
   uint64_t Ops = 0;
   // Every task adopts afresh and drops what it adopted at its end
   // (adoption is uncounted, so this is free with respect to the profile).
@@ -398,14 +414,37 @@ void replayWorker(CollectionRuntime &RT, ReplayShared &S, ReplayBarrier &B,
         continue;
       Ops += executeTask(RT, S, Task, Epoch, /*IsBoot=*/false, Regs);
     }
-    GcSafeRegion Region(RT.heap());
-    std::unique_lock<std::mutex> L(B.Mu);
-    uint64_t Gen = B.Generation;
-    ++B.Arrived;
-    B.Cv.notify_all();
-    B.Cv.wait(L, [&] { return B.Generation != Gen; });
+    bool Last;
+    {
+      GcSafeRegion Region(RT.heap());
+      const uint64_t Gen = B.Generation.load(std::memory_order_acquire);
+      Last = B.Arrived.fetch_add(1, std::memory_order_acq_rel) + 1
+             == S.Threads;
+      if (!Last) {
+        const auto ParkStart = std::chrono::steady_clock::now();
+        Seat.park([&] {
+          return B.Generation.load(std::memory_order_acquire) != Gen;
+        });
+        BarrierParkHdrNanos.observe(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - ParkStart)
+                .count()));
+      }
+    }
+    if (!Last)
+      continue;
+    // Every other worker is parked: this thread owns the barrier.
+    CHAM_TRACE_SPAN_ARG("server", "epoch_barrier", "epoch", Epoch);
+    RT.flushMutatorStatistics();
+    RT.heap().collect(/*Forced=*/true);
+    if (Config.OnEpochBarrier)
+      Config.OnEpochBarrier(Epoch, RT);
+    B.Arrived.store(0, std::memory_order_relaxed);
+    B.Generation.fetch_add(1, std::memory_order_release);
+    RT.heap().wakeHelpers();
   }
-  OpsOut.fetch_add(Ops, std::memory_order_relaxed);
+  Out.Ops = Ops;
+  Out.CpuNanos = threadCpuNanos();
 }
 
 /// The deterministic profiling report: the GC cycle records (without
@@ -557,39 +596,25 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
   if (T.Boot)
     MainOps += executeTask(RT, S, *T.Boot, 0, /*IsBoot=*/true, BootRegs);
 
+  // The workers run every epoch barrier themselves; this thread only
+  // waits for them.
   ReplayBarrier B;
-  std::atomic<uint64_t> WorkerOps{0};
+  Result.Workers.resize(S.Threads);
   std::vector<std::thread> Workers;
   Workers.reserve(S.Threads);
   for (uint32_t Tid = 0; Tid < S.Threads; ++Tid)
-    Workers.emplace_back([&RT, &S, &B, Tid, &WorkerOps] {
-      replayWorker(RT, S, B, Tid, WorkerOps);
+    Workers.emplace_back([&, Tid] {
+      replayWorker(RT, S, B, Config, Tid, Result.Workers[Tid]);
     });
-
-  for (uint32_t Epoch = 0; Epoch < T.Header.Epochs; ++Epoch) {
-    {
-      std::unique_lock<std::mutex> L(B.Mu);
-      B.Cv.wait(L, [&] { return B.Arrived == S.Threads; });
-    }
-    CHAM_TRACE_SPAN_ARG("server", "epoch_barrier", "epoch", Epoch);
-    RT.flushMutatorStatistics();
-    RT.heap().collect(/*Forced=*/true);
-    if (Config.OnEpochBarrier)
-      Config.OnEpochBarrier(Epoch, RT);
-    {
-      std::lock_guard<std::mutex> L(B.Mu);
-      B.Arrived = 0;
-      ++B.Generation;
-      B.Cv.notify_all();
-    }
-  }
   for (std::thread &W : Workers)
     W.join();
 
   RT.harvestLiveStatistics();
 
   Result.Tasks = T.taskCount();
-  Result.Ops = MainOps + WorkerOps.load(std::memory_order_relaxed);
+  Result.Ops = MainOps;
+  for (const ReplayWorkerStats &W : Result.Workers)
+    Result.Ops += W.Ops;
   if (Config.Chaos)
     FaultInjector::instance().disarm(); // stats survive for the report
   if (Adaptor) {

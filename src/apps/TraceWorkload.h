@@ -10,7 +10,8 @@
 ///
 /// Replay: `replayTrace` runs a trace on a mutator pool — statically
 /// partitioned sessions, epoch barriers with a deterministic flush +
-/// forced GC — at any MutatorThreads count. For a valid trace the
+/// forced GC, run by the last worker to arrive while the others park and
+/// help collect — at any MutatorThreads count. For a valid trace the
 /// profiling report is byte-identical at every thread count. ServerSim
 /// (ServerSim.h) and the zoo (WorkloadGen.h) generate traces and run
 /// them here. Optionally the replay runs under the OnlineAdaptor (builtin
@@ -138,13 +139,24 @@ struct ReplayConfig {
   /// When non-empty, arm the telemetry recorder and export the bundle
   /// into this directory at the end of the replay.
   std::string TelemetryOutDir;
-  /// Called on the replay's main thread at every epoch barrier — after the
-  /// deterministic flush (contexts renumbered into canonical order) and the
-  /// forced collection, while the workers are still parked at the barrier.
+  /// Called at every epoch barrier by the last worker to arrive — after
+  /// the deterministic flush (contexts renumbered into canonical order) and
+  /// the forced collection, while every other worker is parked at the
+  /// barrier, so successive calls never overlap.
   /// This is the quiescent point at which a fleet agent captures and
   /// commits the per-epoch profile (see fleet/Agent.h). Null costs one
   /// check per epoch.
   std::function<void(uint32_t Epoch, CollectionRuntime &RT)> OnEpochBarrier;
+};
+
+/// One replay worker's share of the run: timings only, never part of a
+/// report.
+struct ReplayWorkerStats {
+  /// Trace ops the worker executed.
+  uint64_t Ops = 0;
+  /// The worker thread's CPU time, including the barrier work and the
+  /// collection items it ran.
+  uint64_t CpuNanos = 0;
 };
 
 /// What a replay produces.
@@ -169,6 +181,8 @@ struct ReplayResult {
   /// Final backing census of the global registers (counts per ImplKind,
   /// ascending impl index; zero-count kinds omitted).
   std::vector<std::pair<ImplKind, uint32_t>> GlobalBackings;
+  /// Per worker, indexed by worker id.
+  std::vector<ReplayWorkerStats> Workers;
 };
 
 /// The RuntimeConfig a replay runtime should be constructed with: the

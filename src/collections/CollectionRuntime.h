@@ -68,13 +68,9 @@ struct RuntimeConfig {
   bool ShareEmptyIterators = false;
   /// Parallel collector threads (§4.3.2), used for both the tracing phase
   /// and the sweep; statistics are identical at any count, only GC wall
-  /// time changes. Threads > 1 starts a persistent worker pool on the
-  /// heap's first parallel cycle.
+  /// time changes. Threads > 1 starts Threads - 1 helper threads, parked
+  /// on the heap's job board, on its first parallel cycle.
   unsigned GcThreads = 1;
-  /// Park the collector threads between cycles (the persistent pool)
-  /// rather than spawning them per cycle. Off exists only so benches can
-  /// measure the spawn-per-cycle cost the pool removes.
-  bool GcUseWorkerPool = true;
   /// Soft heap limit in model bytes (0 = none): the graceful-degradation
   /// threshold — see GcHeap::setSoftHeapLimit.
   uint64_t SoftHeapLimitBytes = 0;
@@ -206,7 +202,7 @@ public:
   }
 
   /// Changes the collector thread count mid-run (heap pass-through; the
-  /// worker pool is re-created lazily at the new size).
+  /// helper threads are re-started lazily at the new count).
   void setGcThreads(unsigned Threads) { Heap.setGcThreads(Threads); }
 
   /// -- Source-level allocations (subject to plan / online selection) ------

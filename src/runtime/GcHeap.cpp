@@ -83,6 +83,7 @@ GcHeap::GcHeap(MemoryModel Model, uint64_t HeapLimitBytes)
 }
 
 GcHeap::~GcHeap() {
+  stopHelperThreads();
   for (uint32_t I = 0; I < MaxSlotChunks; ++I)
     delete Chunks[I].load(std::memory_order_relaxed);
 }
@@ -91,32 +92,28 @@ void GcHeap::setGcThreads(unsigned Threads) {
   assert(Threads >= 1 && "need at least one collector thread");
   assert(!InCollection && "changing thread count during a GC cycle");
   if (Threads != GcThreads)
-    Pool.reset();
+    stopHelperThreads();
   GcThreads = Threads;
 }
 
-void GcHeap::setUseWorkerPool(bool On) {
-  assert(!InCollection && "changing pool mode during a GC cycle");
-  if (!On)
-    Pool.reset();
-  UseWorkerPool = On;
+void GcHeap::runOnBoard(unsigned Items,
+                        const std::function<void(unsigned)> &Task) {
+  while (HelperThreads.size() + 1 < GcThreads)
+    HelperThreads.emplace_back([this] {
+      Board.help([this] {
+        return HelperThreadsStop.load(std::memory_order_acquire);
+      });
+    });
+  Board.run(Items, Task);
 }
 
-void GcHeap::runOnWorkers(const std::function<void(unsigned)> &Task) {
-  if (!UseWorkerPool) {
-    // Spawn-per-cycle fallback (the original §4.3.2 implementation); kept
-    // so the GC-throughput bench can measure what the pool saves.
-    std::vector<std::thread> Workers;
-    Workers.reserve(GcThreads);
-    for (unsigned T = 0; T < GcThreads; ++T)
-      Workers.emplace_back([&Task, T] { Task(T); });
-    for (std::thread &W : Workers)
-      W.join();
-    return;
-  }
-  if (!Pool || Pool->workerCount() != GcThreads)
-    Pool = std::make_unique<GcWorkerPool>(GcThreads);
-  Pool->run(Task);
+void GcHeap::stopHelperThreads() {
+  HelperThreadsStop.store(true, std::memory_order_release);
+  Board.wake();
+  for (std::thread &T : HelperThreads)
+    T.join();
+  HelperThreads.clear();
+  HelperThreadsStop.store(false, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -613,8 +610,8 @@ private:
 };
 
 void GcHeap::markPhase(GcCycleRecord &Record) {
-  if (GcThreads > 1) {
-    markPhaseParallel(Record);
+  if (const unsigned Items = phaseItems(); Items > 1) {
+    markPhaseParallel(Record, Items);
     return;
   }
   Marker M(*this, CurrentEpoch);
@@ -660,13 +657,16 @@ void GcHeap::markPhase(GcCycleRecord &Record) {
   }
 }
 
-/// The multi-threaded tracing phase (paper §4.3.2). Objects are claimed
-/// with a compare-and-swap on their slot's mark entry, so each is processed
-/// by exactly one worker; every statistic is a commutative sum, so the
-/// cycle record is identical to the sequential marker's. Collection events
-/// (wrapper, sizes, context tag) are buffered per worker and replayed on
-/// the calling thread after the join, because the profiler hooks are not
-/// thread-safe.
+/// The multi-threaded tracing phase (paper §4.3.2). Each job-board item is
+/// one participant state; objects are claimed with a compare-and-swap on
+/// their slot's mark entry, so each is processed by exactly one
+/// participant; every statistic is a commutative sum, so the cycle record
+/// is identical to the sequential marker's. Collection events (wrapper,
+/// sizes, context tag) are buffered per participant and replayed on the
+/// calling thread after the phase, because the profiler hooks are not
+/// thread-safe. Marking ends when every participant that joined is idle;
+/// an item claimed after that returns at once, so the phase never waits
+/// for a helper that has not arrived.
 class GcHeap::ParallelMarker {
 public:
   struct CollectionEvent {
@@ -682,8 +682,8 @@ public:
     std::vector<CollectionEvent> Events;
   };
 
-  ParallelMarker(GcHeap &Heap, uint64_t Epoch, unsigned Threads)
-      : Heap(Heap), Epoch(Epoch), Threads(Threads), States(Threads) {
+  ParallelMarker(GcHeap &Heap, uint64_t Epoch, unsigned Items)
+      : Heap(Heap), Epoch(Epoch), States(Items) {
     if (Heap.RecordTypeDistribution)
       for (WorkerState &State : States)
         State.TypeBytes.resize(Heap.Types.size(), 0);
@@ -720,10 +720,16 @@ public:
   }
 
   void run() {
-    Heap.runOnWorkers([this](unsigned T) {
+    Heap.runOnBoard(static_cast<unsigned>(States.size()), [this](unsigned I) {
+      {
+        std::lock_guard<std::mutex> Lock(Mu);
+        if (Done)
+          return;
+        ++Joined;
+      }
       CHAM_TRACE_SPAN_ARG("gc", "mark.worker", "worker",
-                          static_cast<int64_t>(T));
-      workerLoop(States[T]);
+                          static_cast<int64_t>(I));
+      workerLoop(States[I]);
     });
   }
 
@@ -812,13 +818,13 @@ private:
     Cv.notify_all();
   }
 
-  /// Blocks until shared work arrives or all workers are idle.
+  /// Blocks until shared work arrives or every joined participant is idle.
   /// \returns false when marking is complete.
   bool refill(std::vector<HeapObject *> &Local) {
     std::unique_lock<std::mutex> Lock(Mu);
     ++Waiting;
     while (Shared.empty()) {
-      if (Waiting == Threads) {
+      if (Waiting == Joined) {
         Done = true;
         Cv.notify_all();
       }
@@ -839,18 +845,18 @@ private:
 
   GcHeap &Heap;
   uint64_t Epoch;
-  unsigned Threads;
   std::vector<WorkerState> States;
 
   std::mutex Mu;
   std::condition_variable Cv;
   std::vector<HeapObject *> Shared;
+  unsigned Joined = 0;
   unsigned Waiting = 0;
   bool Done = false;
 };
 
-void GcHeap::markPhaseParallel(GcCycleRecord &Record) {
-  ParallelMarker Marker(*this, CurrentEpoch, GcThreads);
+void GcHeap::markPhaseParallel(GcCycleRecord &Record, unsigned Items) {
+  ParallelMarker Marker(*this, CurrentEpoch, Items);
   Marker.seed();
   Marker.run();
 
@@ -871,8 +877,8 @@ void GcHeap::markPhaseParallel(GcCycleRecord &Record) {
 //===----------------------------------------------------------------------===//
 
 void GcHeap::sweepPhase(GcCycleRecord &Record) {
-  if (GcThreads > 1) {
-    sweepPhaseParallel(Record);
+  if (const unsigned Items = phaseItems(); Items > 1) {
+    sweepPhaseParallel(Record, Items);
     return;
   }
   for (uint32_t Slot = 0, E = SlotCount.load(std::memory_order_relaxed);
@@ -899,16 +905,16 @@ void GcHeap::sweepPhase(GcCycleRecord &Record) {
   ObjectsInUse.fetch_sub(Record.FreedObjects, std::memory_order_relaxed);
 }
 
-/// The multi-threaded sweep. Each worker scans one contiguous slot range
-/// and buffers everything it would have done in place: the dead slot list,
+/// The multi-threaded sweep. Each item scans one contiguous slot range and
+/// buffers everything it would have done in place: the dead slot list,
 /// freed byte/object sums, and the death events of profiled wrappers. The
 /// calling thread then replays the death events and recycles the slots in
 /// ascending slot order — ranges are contiguous and scanned in order, so
-/// concatenating the per-worker buffers reproduces exactly the sequential
+/// concatenating the per-item buffers reproduces exactly the sequential
 /// sweep's hook order and FreeSlots order (the latter keeps slot reuse, and
 /// therefore future ObjectRefs, byte-identical at any thread count). The
 /// same buffering-and-replay discipline ParallelMarker::finish uses.
-void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
+void GcHeap::sweepPhaseParallel(GcCycleRecord &Record, unsigned Items) {
   struct DeathEvent {
     HeapObject *Obj;
     void *Tag;
@@ -922,11 +928,10 @@ void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
   };
 
   const uint32_t NumSlots = SlotCount.load(std::memory_order_relaxed);
-  const unsigned Workers = GcThreads;
-  const uint32_t ChunkSlots = (NumSlots + Workers - 1) / Workers;
-  std::vector<SweepState> States(Workers);
+  const uint32_t ChunkSlots = (NumSlots + Items - 1) / Items;
+  std::vector<SweepState> States(Items);
 
-  runOnWorkers([&](unsigned W) {
+  runOnBoard(Items, [&](unsigned W) {
     CHAM_TRACE_SPAN_ARG("gc", "sweep.worker", "worker",
                         static_cast<int64_t>(W));
     SweepState &State = States[W];
@@ -957,7 +962,7 @@ void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
         Hooks->onCollectionDeath(*Event.Obj, Event.Tag, Event.Info);
 
   // Destroy dead objects in parallel; the slot sets are disjoint.
-  runOnWorkers([&](unsigned W) {
+  runOnBoard(Items, [&](unsigned W) {
     for (uint32_t Slot : States[W].DeadSlots)
       slotRef(Slot).reset();
   });

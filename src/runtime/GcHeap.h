@@ -13,20 +13,21 @@
 /// minimal-heap-size experiments of Fig. 6 bisect on).
 ///
 /// The collector follows the paper's base parallel mark-and-sweep design
-/// (§4.3.2): tracing runs on `gcThreads()` workers (1 by default) that
-/// claim objects with a CAS on their slot's mark entry, and sweeping
-/// partitions the slot table into one contiguous range per worker. The
-/// workers live in a persistent `GcWorkerPool` owned by the heap (created
-/// lazily on the first parallel cycle), so a cycle costs a wake/notify
-/// rather than a thread spawn/join. Every cycle statistic is a commutative
-/// sum and every profiler event is buffered per worker and replayed on the
-/// calling thread in slot order after the phase barrier, so the recorded
-/// metrics are identical at any thread count. During marking the collector
-/// consults the semantic ADT map of every object and, for collection
-/// wrappers, computes the ADT's live / used / core sizes and reports them
-/// to the installed profiler hooks; during sweeping it reports dying
-/// collections so their per-instance statistics can be folded into their
-/// allocation context (the sweep-phase alternative to finalizers, §4.4).
+/// (§4.3.2): a parallel phase is posted on the heap's `GcJobBoard` as N
+/// items — marker states whose participants claim objects with a CAS on
+/// their slot's mark entry, or contiguous sweep ranges. The collecting
+/// thread claims items itself; `gcThreads() - 1` parked helper threads
+/// and any thread holding a `GcHelperSeat` (replay workers parked at
+/// their epoch barrier) claim the rest. Every cycle statistic is a
+/// commutative sum and every profiler event is buffered per item and
+/// replayed on the calling thread in slot order after the phase, so the
+/// recorded metrics are identical at any item count. During marking the
+/// collector consults the semantic ADT map of every object and, for
+/// collection wrappers, computes the ADT's live / used / core sizes and
+/// reports them to the installed profiler hooks; during sweeping it reports
+/// dying collections so their per-instance statistics can be folded into
+/// their allocation context (the sweep-phase alternative to finalizers,
+/// §4.4).
 ///
 /// The *mutator* side admits N application threads (DESIGN.md §9): each
 /// thread registers through `registerMutatorThread` (see the runtime
@@ -45,7 +46,7 @@
 #define CHAMELEON_RUNTIME_GCHEAP_H
 
 #include "runtime/GcCycle.h"
-#include "runtime/GcWorkerPool.h"
+#include "runtime/GcJobBoard.h"
 #include "runtime/HeapHooks.h"
 #include "runtime/HeapObject.h"
 #include "runtime/MemoryModel.h"
@@ -53,6 +54,7 @@
 #include "support/Annotations.h"
 #include "support/SpinLock.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
@@ -201,20 +203,20 @@ public:
 
   /// Number of collector threads (paper §4.3.2: "several parallel collector
   /// threads perform the tracing phase"). 1 (default) marks and sweeps on
-  /// the calling thread. All cycle statistics are commutative sums and all
-  /// profiler events are replayed in deterministic order, so the recorded
-  /// results are identical regardless of the thread count; profiler hooks
-  /// always run on the calling thread after the phase barrier. Changing the
-  /// count retires any existing worker pool; the next parallel cycle
-  /// re-creates it at the new size.
+  /// the calling thread unless helper seats are held (GcHelperSeat). Each
+  /// parallel phase posts max(gcThreads(), seats) items, and Threads - 1
+  /// helper threads, started on the first parallel cycle, park on the job
+  /// board between phases. All cycle statistics are commutative sums and
+  /// all profiler events are replayed in deterministic order, so the
+  /// recorded results are identical at any item count; profiler hooks
+  /// always run on the calling thread after the phase. Changing the count
+  /// retires the helper threads.
   void setGcThreads(unsigned Threads);
   unsigned gcThreads() const { return GcThreads; }
 
-  /// When false, parallel phases fall back to spawning (and joining) fresh
-  /// threads every cycle instead of waking the persistent pool — the
-  /// pre-pool behaviour, kept as an A/B knob for the GC-throughput bench.
-  void setUseWorkerPool(bool On);
-  bool useWorkerPool() const { return UseWorkerPool; }
+  /// Makes every thread parked in GcHelperSeat::park re-check its release
+  /// condition; call after making that condition true.
+  void wakeHelpers() { Board.wake(); }
 
   /// When true (default), each mutator thread allocates slot ids out of a
   /// per-thread cache refilled in batches under a spinlock, so the hot
@@ -419,6 +421,7 @@ private:
   class Marker;
   class ParallelMarker;
   friend class GcSafeRegion;
+  friend class GcHelperSeat;
 
   /// -- Chunked slot table ---------------------------------------------------
   /// Slot storage is an array of fixed-size chunks published through atomic
@@ -537,17 +540,25 @@ private:
   /// phase bodies run with the world stopped and must never re-enter the
   /// safepoint machinery.
   CHAM_NO_SAFEPOINT void markPhase(GcCycleRecord &Record);
-  /// The multi-threaded tracing phase (GcThreads > 1).
-  CHAM_NO_SAFEPOINT void markPhaseParallel(GcCycleRecord &Record);
+  /// The multi-item tracing phase (phaseItems() > 1).
+  CHAM_NO_SAFEPOINT void markPhaseParallel(GcCycleRecord &Record,
+                                           unsigned Items);
   /// Sweeps unmarked objects; fills the record's freed statistics.
   CHAM_NO_SAFEPOINT void sweepPhase(GcCycleRecord &Record);
-  /// The multi-threaded sweep (GcThreads > 1): one contiguous slot range
-  /// per worker, per-worker freed/death buffers, deterministic replay.
-  CHAM_NO_SAFEPOINT void sweepPhaseParallel(GcCycleRecord &Record);
-  /// Runs `Task(WorkerIndex)` on GcThreads workers and waits for all of
-  /// them — through the persistent pool, or (UseWorkerPool off) through
-  /// freshly spawned threads.
-  void runOnWorkers(const std::function<void(unsigned)> &Task);
+  /// The multi-item sweep: one contiguous slot range per item, per-item
+  /// freed/death buffers, deterministic replay.
+  CHAM_NO_SAFEPOINT void sweepPhaseParallel(GcCycleRecord &Record,
+                                            unsigned Items);
+  /// Items per parallel phase: max(GcThreads, held helper seats).
+  unsigned phaseItems() const {
+    return std::max(GcThreads, HelperSeats.load(std::memory_order_relaxed));
+  }
+  /// Posts `Task(Item)` for every item on the job board, starting the
+  /// GcThreads - 1 helper threads first if they are not running, and
+  /// returns when every item has run.
+  void runOnBoard(unsigned Items, const std::function<void(unsigned)> &Task);
+  /// Releases and joins the helper threads.
+  void stopHelperThreads();
 
   MemoryModel Model;
   uint64_t HeapLimitBytes;
@@ -599,15 +610,20 @@ private:
   bool InCollection = false;
   bool RecordTypeDistribution = false;
   unsigned GcThreads = 1;
-  bool UseWorkerPool = true;
   bool UseThreadCaches = true;
   /// Set instead of shrinking inline when an emergency collection runs
   /// with mutators active: the shrink must not race cache refills reading
   /// FreeSlots, so collectStopped performs it while the world is stopped.
   bool PendingShrink = false;
-  /// Lazily created on the first parallel cycle; retired when the thread
-  /// count changes or the pool is disabled.
-  std::unique_ptr<GcWorkerPool> Pool;
+  /// Dispatches the parallel phases (DESIGN.md §4).
+  GcJobBoard Board;
+  /// Releases the helper threads from Board.
+  std::atomic<bool> HelperThreadsStop{false};
+  /// GcThreads - 1 threads parked on Board, started on the first parallel
+  /// cycle; retired when the thread count changes.
+  std::vector<std::thread> HelperThreads;
+  /// Live GcHelperSeat count.
+  std::atomic<unsigned> HelperSeats{0};
   std::vector<GcCycleRecord> CycleRecords;
 };
 
@@ -625,6 +641,31 @@ public:
   GcSafeRegion &operator=(const GcSafeRegion &) = delete;
   /// Blocks until no collection is in progress, then resumes mutation.
   ~GcSafeRegion() { Heap.leaveSafeRegion(); }
+
+private:
+  GcHeap &Heap;
+};
+
+/// RAII: lends the calling thread to the collector for the seat's
+/// lifetime (a replay worker, DESIGN.md §14.2). While seats are held every
+/// parallel phase posts at least one item per seat, and a thread parked in
+/// park() claims and runs items of any collection meanwhile — so the
+/// threads that wait at a barrier do the barrier collection's work.
+class GcHelperSeat {
+public:
+  explicit GcHelperSeat(GcHeap &Heap) : Heap(Heap) {
+    Heap.HelperSeats.fetch_add(1, std::memory_order_relaxed);
+  }
+  GcHelperSeat(const GcHelperSeat &) = delete;
+  GcHelperSeat &operator=(const GcHelperSeat &) = delete;
+  ~GcHelperSeat() { Heap.HelperSeats.fetch_sub(1, std::memory_order_relaxed); }
+
+  /// Parks until \p Released() holds, helping collections meanwhile. The
+  /// calling thread must be inside a GcSafeRegion (or unregistered); the
+  /// releaser calls GcHeap::wakeHelpers after making Released() true.
+  void park(const std::function<bool()> &Released) {
+    Heap.Board.help(Released);
+  }
 
 private:
   GcHeap &Heap;

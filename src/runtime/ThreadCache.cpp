@@ -197,7 +197,10 @@ void ThreadCache::publishStats() {
 }
 
 void *chameleon::alloc::allocateBlock(size_t UserSize) {
-  const size_t Total = UserSize + sizeof(BlockHeader);
+  // A free block keeps its free-list link in the first payload word, so
+  // every block needs room for one.
+  const size_t Total =
+      std::max(UserSize, sizeof(void *)) + sizeof(BlockHeader);
   const Mode M = mode();
   if (M == Mode::Passthrough || Total > kMaxPooledSize) {
     auto *B = static_cast<BlockHeader *>(::operator new(Total));

@@ -18,10 +18,14 @@
 #include "apps/TraceFormat.h"
 #include "apps/TraceWorkload.h"
 #include "apps/WorkloadGen.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <numeric>
+#include <thread>
 
 using namespace chameleon;
 using namespace chameleon::apps;
@@ -148,6 +152,66 @@ TEST(TraceReplay, AdoptedHandlesNeverOutliveTheirTask) {
       else
         EXPECT_EQ(R.Report, FirstReport);
     }
+  }
+}
+
+/// The epoch barrier runs on the last worker to arrive — never on the
+/// thread that called replayTrace — with every other worker parked: while
+/// OnEpochBarrier runs, no collection is allocated anywhere. The report
+/// stays byte-identical at any worker count.
+TEST(TraceReplay, BarrierRunsOnAParkedWorld) {
+  std::string Recorded;
+  const Trace T = recordServerSim(Recorded);
+  const std::thread::id Caller = std::this_thread::get_id();
+  for (uint32_t Threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("MutatorThreads=" + std::to_string(Threads));
+    ReplayConfig Config;
+    Config.MutatorThreads = Threads;
+    std::vector<uint32_t> Barriers;
+    Config.OnEpochBarrier = [&](uint32_t Epoch, CollectionRuntime &RT) {
+      Barriers.push_back(Epoch);
+      EXPECT_NE(std::this_thread::get_id(), Caller) << "epoch " << Epoch;
+      auto Allocated = [&RT] {
+        uint64_t N = 0;
+        for (unsigned I = 0; I < NumImplKinds; ++I)
+          N += RT.allocationsWithImpl(static_cast<ImplKind>(I));
+        return N;
+      };
+      const uint64_t Before = Allocated();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      EXPECT_EQ(Allocated(), Before) << "a worker ran during barrier "
+                                     << Epoch;
+    };
+    CollectionRuntime RT(traceReplayRuntimeConfig(Config));
+    ReplayResult R = replayTrace(RT, T, Config);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Report, Recorded);
+    std::vector<uint32_t> Expected(T.Header.Epochs);
+    std::iota(Expected.begin(), Expected.end(), 0u);
+    EXPECT_EQ(Barriers, Expected);
+  }
+}
+
+/// Chaos forces collections at random allocations in the middle of an
+/// epoch, when no worker — or only the few already at the barrier — is
+/// parked to help: the collecting worker claims the remaining items of
+/// every phase itself, and the heap stays consistent.
+TEST(TraceReplay, MidEpochCollectionWithoutHelpers) {
+  WorkloadGenConfig Gen;
+  applyWorkloadScale(WorkloadScale::Ci, Gen);
+  const Trace T = generateZipfTrace(Gen);
+  for (uint32_t Threads : {4u, 8u}) {
+    SCOPED_TRACE("MutatorThreads=" + std::to_string(Threads));
+    ReplayConfig Config;
+    Config.MutatorThreads = Threads;
+    Config.Chaos = true;
+    CollectionRuntime RT(traceReplayRuntimeConfig(Config));
+    ReplayResult R = replayTrace(RT, T, Config);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_GT(FaultInjector::instance().stats().ForcedGcs, 0u);
+    EXPECT_GT(RT.heap().cycleCount(), T.Header.Epochs);
+    std::string Error;
+    EXPECT_TRUE(RT.heap().verifyHeap(&Error)) << Error;
   }
 }
 

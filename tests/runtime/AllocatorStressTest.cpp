@@ -135,6 +135,28 @@ TEST(AllocatorStress, SixteenMultipleClassesKeepPayloadsAligned) {
   }
 }
 
+/// A zero-byte request still gets room for the free-list link that a free
+/// block keeps in its first payload word: linking more than two transfer
+/// batches of them into the thread cache and the central list must leave
+/// every neighbouring header intact.
+TEST(AllocatorStress, ZeroByteBlocksKeepFreeListsIntact) {
+  using namespace chameleon::alloc;
+  ASSERT_EQ(mode(), Mode::Cached);
+  void *Probe = allocateBlock(0);
+  const uint32_t Cls = blockOfPayload(Probe)->ClassOrSize;
+  deallocateBlock(Probe);
+  for (int Round = 0; Round < 2; ++Round) {
+    std::vector<void *> Blocks;
+    for (uint32_t I = 0; I < 2 * transferBatch(Cls) + 1; ++I) {
+      void *P = allocateBlock(0);
+      ASSERT_EQ(blockOfPayload(P)->State, kLiveTag) << "block " << I;
+      Blocks.push_back(P);
+    }
+    for (void *P : Blocks)
+      deallocateBlock(P);
+  }
+}
+
 /// A freed-block pointer returned twice is counted and leaked, never
 /// pushed onto a free list a second time.
 TEST(AllocatorStress, DoubleFreeCountedAndContained) {

@@ -6,6 +6,10 @@
 
 #include "runtime/GcHeap.h"
 
+#include "apps/TvlaSim.h"
+#include "collections/CollectionRuntime.h"
+#include "support/SplitMix64.h"
+
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -325,6 +329,122 @@ TEST_F(GcHeapTest, RecycledSlotStartsUnmarked) {
     EXPECT_EQ(H.objectsInUse(), 1u) << Threads;
     EXPECT_TRUE(H.verifyHeap()) << Threads;
   }
+}
+
+/// Hooks that log every death event's slot, in replay order, and sum the
+/// live-collection statistics.
+class PhaseLog : public HeapProfilerHooks {
+public:
+  void onLiveCollection(const HeapObject &, const CollectionSizes &Sizes,
+                        void *) override {
+    LiveSum += Sizes.Live;
+    ++LiveEvents;
+  }
+  void onCollectionDeath(const HeapObject &Obj, void *, void *) override {
+    Deaths.push_back(Obj.self().slot());
+  }
+  void onCycleEnd(const GcCycleRecord &) override {}
+
+  uint64_t LiveSum = 0;
+  uint64_t LiveEvents = 0;
+  std::vector<uint32_t> Deaths;
+};
+
+/// The cycle record without its wall-clock fields.
+std::string recordFields(const GcCycleRecord &R) {
+  std::string Out;
+  for (uint64_t V : {R.Cycle, uint64_t(R.Forced), R.LiveBytes, R.LiveObjects,
+                     R.CollectionLiveBytes, R.CollectionUsedBytes,
+                     R.CollectionCoreBytes, R.CollectionObjects, R.FreedBytes,
+                     R.FreedObjects})
+    Out += std::to_string(V) + ",";
+  return Out;
+}
+
+/// A parallel phase posts one item per helper seat. With seats held but no
+/// thread parked on the job board and no helper threads, the collecting
+/// thread claims every item itself: the collection completes, with the
+/// sequential collector's cycle records, death-hook order and folded
+/// profile.
+TEST_F(GcHeapTest, ParallelCollectCompletesWithoutHelpers) {
+  auto Collect = [](unsigned Seats) {
+    GcHeap H;
+    std::vector<std::unique_ptr<GcHelperSeat>> Held;
+    for (unsigned I = 0; I < Seats; ++I)
+      Held.push_back(std::make_unique<GcHelperSeat>(H));
+    PhaseLog Log;
+    H.setProfilerHooks(&Log);
+    SemanticMap Map;
+    Map.Name = "Wrapper";
+    Map.Kind = TypeKind::CollectionWrapper;
+    Map.ComputeSizes = [](const HeapObject &Obj, const GcHeap &) {
+      CollectionSizes S;
+      S.Live = S.Used = S.Core = Obj.shallowBytes();
+      return S;
+    };
+    Map.ContextTagOf = [](const HeapObject &) -> void * { return nullptr; };
+    const TypeId Wrapper = H.types().registerType(std::move(Map));
+    const TypeId Plain = registerNodeType(H);
+    SplitMix64 Rng(5);
+    std::vector<ObjectRef> All;
+    std::vector<Handle> Roots;
+    for (int I = 0; I < 6000; ++I) {
+      All.push_back(
+          allocNode(H, I % 4 == 0 ? Wrapper : Plain, 2, 8 * (1 + I % 5)));
+      if (Rng.nextBool(0.05))
+        Roots.emplace_back(H, All.back());
+      for (unsigned S = 0; S < 2; ++S)
+        if (Rng.nextBool(0.5))
+          H.getAs<Node>(All.back()).setRef(S, All[Rng.nextBelow(All.size())]);
+    }
+    std::string Out;
+    for (int Cycle = 0; Cycle < 2; ++Cycle) {
+      Out += recordFields(H.collect(/*Forced=*/true)) + "\n";
+      Roots.resize(Roots.size() / 2);
+    }
+    Out += std::to_string(Log.LiveSum) + "/" + std::to_string(Log.LiveEvents)
+           + "\n";
+    for (uint32_t Slot : Log.Deaths)
+      Out += std::to_string(Slot) + " ";
+    std::string Error;
+    EXPECT_TRUE(H.verifyHeap(&Error)) << Error;
+    H.setProfilerHooks(nullptr);
+    return Out;
+  };
+  auto Profile = [](unsigned Seats) {
+    RuntimeConfig Config;
+    Config.GcSampleEveryBytes = 64 * 1024;
+    CollectionRuntime RT(Config);
+    std::vector<std::unique_ptr<GcHelperSeat>> Held;
+    for (unsigned I = 0; I < Seats; ++I)
+      Held.push_back(std::make_unique<GcHelperSeat>(RT.heap()));
+    apps::TvlaConfig App;
+    App.NumStates = 300;
+    App.LiveWindow = 200;
+    apps::runTvla(RT, App);
+    RT.heap().collect(true);
+    RT.harvestLiveStatistics();
+    std::string Out;
+    for (const GcCycleRecord &R : RT.heap().cycles())
+      Out += recordFields(R) + "\n";
+    const SemanticProfiler &P = RT.profiler();
+    for (const ContextInfo *Info : P.contexts())
+      Out += P.contextLabel(*Info) + ":"
+             + std::to_string(Info->allocations()) + ","
+             + std::to_string(Info->foldedInstances()) + ","
+             + std::to_string(Info->liveData().total()) + ","
+             + std::to_string(Info->liveData().max()) + ","
+             + std::to_string(Info->usedData().total()) + ","
+             + std::to_string(Info->maxSizeStat().mean()) + "\n";
+    return Out;
+  };
+
+  const std::string Sequential = Collect(0);
+  EXPECT_EQ(Collect(4), Sequential);
+  EXPECT_EQ(Collect(8), Sequential);
+  const std::string Folded = Profile(0);
+  ASSERT_FALSE(Folded.empty());
+  EXPECT_EQ(Profile(4), Folded);
 }
 
 } // namespace

@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sweep phase partitions the slot vector across the persistent worker
-/// pool (GcHeap.h); like parallel marking, it must be invisible in every
-/// recorded metric. These tests check that parallel sweeping frees exactly
-/// what the sequential sweep frees, replays death events in the sequential
-/// sweep's slot order, recycles slots in the same order (so future
-/// allocations land in identical slots), and that whole profiled workloads
-/// produce byte-identical records, per-context aggregates, and reports at
-/// GcThreads 1, 2, and 8 — with the pool and with the spawn-per-cycle
-/// fallback.
+/// The sweep phase partitions the slot vector into ranges posted on the
+/// heap's job board (GcHeap.h); like parallel marking, it must be invisible
+/// in every recorded metric. These tests check that parallel sweeping frees
+/// exactly what the sequential sweep frees, replays death events in the
+/// sequential sweep's slot order, recycles slots in the same order (so
+/// future allocations land in identical slots), and that whole profiled
+/// workloads produce byte-identical records, per-context aggregates, and
+/// reports at GcThreads 1, 2, and 8.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,11 +79,12 @@ TEST(ParallelSweep, SweepStatisticsMatchSequential) {
   }
 }
 
-TEST(ParallelSweep, SpawnPerCycleFallbackMatchesPool) {
-  auto Run = [](bool UsePool) {
+/// The helper threads persist across cycles: a second collection on the
+/// same heap reuses them and still matches the sequential collector.
+TEST(ParallelSweep, HelperThreadsMatchSequentialAcrossCycles) {
+  auto Run = [](unsigned Threads) {
     GcHeap Heap;
-    Heap.setGcThreads(4);
-    Heap.setUseWorkerPool(UsePool);
+    Heap.setGcThreads(Threads);
     TypeId NodeType = registerNodeType(Heap);
     std::vector<Handle> Roots = buildMixedGraph(Heap, NodeType);
     GcCycleRecord First = Heap.collect(true);
@@ -92,12 +92,12 @@ TEST(ParallelSweep, SpawnPerCycleFallbackMatchesPool) {
     GcCycleRecord Second = Heap.collect(true);
     return std::make_pair(First, Second);
   };
-  auto [PoolFirst, PoolSecond] = Run(true);
-  auto [SpawnFirst, SpawnSecond] = Run(false);
-  EXPECT_EQ(PoolFirst.FreedBytes, SpawnFirst.FreedBytes);
-  EXPECT_EQ(PoolFirst.LiveBytes, SpawnFirst.LiveBytes);
-  EXPECT_EQ(PoolSecond.FreedBytes, SpawnSecond.FreedBytes);
-  EXPECT_EQ(PoolSecond.LiveObjects, SpawnSecond.LiveObjects);
+  auto [SeqFirst, SeqSecond] = Run(1);
+  auto [ParFirst, ParSecond] = Run(4);
+  EXPECT_EQ(ParFirst.FreedBytes, SeqFirst.FreedBytes);
+  EXPECT_EQ(ParFirst.LiveBytes, SeqFirst.LiveBytes);
+  EXPECT_EQ(ParSecond.FreedBytes, SeqSecond.FreedBytes);
+  EXPECT_EQ(ParSecond.LiveObjects, SeqSecond.LiveObjects);
 }
 
 /// Hooks that record the slot of every death event, in replay order.

@@ -172,6 +172,14 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(R.Ops),
                 T.Header.Generator.c_str(),
                 static_cast<unsigned long long>(T.Header.Seed));
+    // Per-worker CPU per op (stderr: timings never enter the report).
+    for (size_t W = 0; W < R.Workers.size(); ++W)
+      std::fprintf(stderr, "worker %zu: ops=%llu cpu_ms=%.1f ns/op=%.1f\n", W,
+                   static_cast<unsigned long long>(R.Workers[W].Ops),
+                   R.Workers[W].CpuNanos / 1e6,
+                   R.Workers[W].Ops ? static_cast<double>(R.Workers[W].CpuNanos)
+                                          / R.Workers[W].Ops
+                                    : 0.0);
     return 0;
   }
 

@@ -125,12 +125,18 @@ std::string renderTable(const std::vector<obs::MetricSnapshot> &Snaps) {
 }
 
 /// The --percentiles view: one row per HDR metric with its tail quantiles
-/// (the same estimator the exporters used, over the same sparse buckets).
+/// (the same estimator the exporters used, over the same sparse buckets),
+/// plus the count of parallel GC items helpers ran, which reads next to
+/// the GC pause and barrier park tails.
 std::string renderPercentiles(const std::vector<obs::MetricSnapshot> &Snaps) {
   TextTable Table(
       {"metric", "count", "min", "p50", "p90", "p99", "p999", "max"});
   size_t Rows = 0;
+  std::string HelperItems;
   for (const obs::MetricSnapshot &S : Snaps) {
+    if (S.Kind == obs::MetricKind::Counter
+        && S.Name == "cham.gc.helper_items")
+      HelperItems = S.Name + ": " + u64Str(S.Value) + "\n";
     if (S.Kind != obs::MetricKind::Hdr)
       continue;
     Table.addRow({S.Name, u64Str(S.Count), u64Str(S.MinValue),
@@ -143,7 +149,7 @@ std::string renderPercentiles(const std::vector<obs::MetricSnapshot> &Snaps) {
   }
   if (Rows == 0)
     return "no hdr metrics in bundle\n";
-  return Table.render();
+  return Table.render() + HelperItems;
 }
 
 //===----------------------------------------------------------------------===//

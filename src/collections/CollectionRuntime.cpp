@@ -138,15 +138,14 @@ void CollectionRuntime::registerTypes() {
 //===----------------------------------------------------------------------===//
 
 ObjectRef CollectionRuntime::allocValueArray(uint32_t Length) {
-  return Heap.allocate(std::make_unique<ValueArray>(
+  return Heap.allocate(ValueArray::create(
       Types.ValueArray, Heap.model().arrayBytes(Length), Length));
 }
 
 ObjectRef CollectionRuntime::allocIntArray(uint32_t Length) {
   uint64_t Bytes = Heap.model().align(Heap.model().ArrayHeaderBytes
                                       + static_cast<uint64_t>(Length) * 4);
-  return Heap.allocate(
-      std::make_unique<IntArray>(Types.IntArray, Bytes, Length));
+  return Heap.allocate(IntArray::create(Types.IntArray, Bytes, Length));
 }
 
 ObjectRef CollectionRuntime::allocMapEntry(Value Key, Value Val,
@@ -196,7 +195,7 @@ ObjectRef CollectionRuntime::allocIterator(ObjectRef Coll,
 
 Value CollectionRuntime::allocData(uint32_t PointerFields,
                                    uint32_t ScalarBytes) {
-  ObjectRef Ref = Heap.allocate(std::make_unique<DataObject>(
+  ObjectRef Ref = Heap.allocate(DataObject::create(
       Types.Data, Heap.model().objectBytes(PointerFields, ScalarBytes),
       PointerFields));
   return Value::ofRef(Ref);

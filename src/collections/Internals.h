@@ -20,59 +20,86 @@
 
 #include "collections/Value.h"
 #include "runtime/HeapObject.h"
+#include "runtime/ThreadCache.h"
 
-#include <vector>
+#include <memory>
+#include <span>
+#include <type_traits>
 
 namespace chameleon {
 
-/// A fixed-length reference array (the simulated `Object[]`).
-class ValueArray : public HeapObject {
+/// Base of the variable-length heap objects: a length fixed at creation
+/// and that many \p Elem elements stored inline right after the
+/// \p Derived object, in the same allocator block (DESIGN.md §12) — the
+/// header-then-slots layout `MemoryModel::arrayBytes` models. `create` is
+/// the only way to make one; elements start value-initialised and are
+/// never resized. `HeapObject::operator delete` frees the whole block by
+/// its header, so the sized delete's `sizeof(Derived)` does no harm.
+template <typename Derived, typename Elem>
+class InlineElements : public HeapObject {
+  static_assert(std::is_trivially_destructible_v<Elem>);
+
 public:
-  ValueArray(TypeId Type, uint64_t Bytes, uint32_t Length)
-      : HeapObject(Type, Bytes), Slots(Length) {}
-
-  uint32_t length() const { return static_cast<uint32_t>(Slots.size()); }
-
-  Value get(uint32_t Index) const {
-    assert(Index < Slots.size() && "array index out of bounds");
-    return Slots[Index];
+  static std::unique_ptr<Derived> create(TypeId Type, uint64_t Bytes,
+                                         uint32_t Length) {
+    static_assert(alignof(Elem) <= alignof(Derived));
+    void *Mem = alloc::allocateBlock(sizeof(Derived)
+                                     + size_t{Length} * sizeof(Elem));
+    std::unique_ptr<Derived> Obj(::new (Mem) Derived(Type, Bytes, Length));
+    std::uninitialized_value_construct_n(Obj->data(), Length);
+    return Obj;
   }
 
-  void set(uint32_t Index, Value V) {
-    assert(Index < Slots.size() && "array index out of bounds");
-    Slots[Index] = V;
+protected:
+  InlineElements(TypeId Type, uint64_t Bytes, uint32_t Length)
+      : HeapObject(Type, Bytes), Length(Length) {}
+
+  std::span<const Elem> elements() const { return {data(), Length}; }
+
+  Elem &at(uint32_t Index) const {
+    assert(Index < Length && "array index out of bounds");
+    return data()[Index];
   }
+
+  const uint32_t Length;
+
+private:
+  Elem *data() const {
+    return reinterpret_cast<Elem *>(
+        const_cast<Derived *>(static_cast<const Derived *>(this)) + 1);
+  }
+};
+
+/// A fixed-length reference array (the simulated `Object[]`).
+class ValueArray : public InlineElements<ValueArray, Value> {
+public:
+  uint32_t length() const { return Length; }
+  Value get(uint32_t Index) const { return at(Index); }
+  void set(uint32_t Index, Value V) { at(Index) = V; }
 
   void trace(GcTracer &Tracer) const override {
-    for (Value V : Slots)
+    for (Value V : elements())
       Tracer.visit(V.refOrNull());
   }
 
 private:
-  std::vector<Value> Slots;
+  friend InlineElements;
+  ValueArray(TypeId Type, uint64_t Bytes, uint32_t Length)
+      : InlineElements(Type, Bytes, Length) {}
 };
 
 /// A fixed-length primitive int array (4-byte slots under the 32-bit
 /// model); backs IntArrayList.
-class IntArray : public HeapObject {
+class IntArray : public InlineElements<IntArray, int64_t> {
 public:
-  IntArray(TypeId Type, uint64_t Bytes, uint32_t Length)
-      : HeapObject(Type, Bytes), Slots(Length) {}
-
-  uint32_t length() const { return static_cast<uint32_t>(Slots.size()); }
-
-  int64_t get(uint32_t Index) const {
-    assert(Index < Slots.size() && "array index out of bounds");
-    return Slots[Index];
-  }
-
-  void set(uint32_t Index, int64_t X) {
-    assert(Index < Slots.size() && "array index out of bounds");
-    Slots[Index] = X;
-  }
+  uint32_t length() const { return Length; }
+  int64_t get(uint32_t Index) const { return at(Index); }
+  void set(uint32_t Index, int64_t X) { at(Index) = X; }
 
 private:
-  std::vector<int64_t> Slots;
+  friend InlineElements;
+  IntArray(TypeId Type, uint64_t Bytes, uint32_t Length)
+      : InlineElements(Type, Bytes, Length) {}
 };
 
 /// A chained hash-map entry: header + three references (key, value, next) —
@@ -146,30 +173,21 @@ public:
 
 /// A plain application payload object with \p PointerFields reference
 /// fields — what workloads store inside collections.
-class DataObject : public HeapObject {
+class DataObject : public InlineElements<DataObject, Value> {
 public:
-  DataObject(TypeId Type, uint64_t Bytes, uint32_t PointerFields)
-      : HeapObject(Type, Bytes), Fields(PointerFields) {}
-
-  uint32_t fieldCount() const { return static_cast<uint32_t>(Fields.size()); }
-
-  Value getField(uint32_t Index) const {
-    assert(Index < Fields.size() && "field index out of bounds");
-    return Fields[Index];
-  }
-
-  void setField(uint32_t Index, Value V) {
-    assert(Index < Fields.size() && "field index out of bounds");
-    Fields[Index] = V;
-  }
+  uint32_t fieldCount() const { return Length; }
+  Value getField(uint32_t Index) const { return at(Index); }
+  void setField(uint32_t Index, Value V) { at(Index) = V; }
 
   void trace(GcTracer &Tracer) const override {
-    for (Value V : Fields)
+    for (Value V : elements())
       Tracer.visit(V.refOrNull());
   }
 
 private:
-  std::vector<Value> Fields;
+  friend InlineElements;
+  DataObject(TypeId Type, uint64_t Bytes, uint32_t PointerFields)
+      : InlineElements(Type, Bytes, PointerFields) {}
 };
 
 } // namespace chameleon

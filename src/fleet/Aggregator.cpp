@@ -282,6 +282,10 @@ std::string fleet::renderProfileReport(const ProcessProfile &P) {
       case obs::MetricKind::Histogram:
         Os << "count=" << M.Count << " sum=" << M.Sum;
         break;
+      case obs::MetricKind::Hdr:
+        Os << "count=" << M.Count << " sum=" << M.Sum
+           << " min=" << M.MinValue << " max=" << M.MaxValue;
+        break;
       }
       Os << "\n";
     }

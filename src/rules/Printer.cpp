@@ -73,7 +73,7 @@ std::string printExprAt(const Expr &E, ExprPrec Min) {
   case Expr::Kind::Binary: {
     const auto &B = static_cast<const BinaryExpr &>(E);
     ExprPrec Here = exprPrec(E);
-    const char *Op;
+    const char *Op = nullptr; // every case sets it; -Wswitch checks them
     switch (B.Op) {
     case BinaryExpr::Operator::Add:
       Op = " + ";
@@ -126,7 +126,7 @@ std::string printCondAt(const Cond &C, CondPrec Min) {
   switch (C.kind()) {
   case Cond::Kind::Compare: {
     const auto &Cmp = static_cast<const CompareCond &>(C);
-    const char *Op;
+    const char *Op = nullptr; // every case sets it; -Wswitch checks them
     switch (Cmp.Op) {
     case CompareCond::Operator::Lt:
       Op = " < ";

@@ -383,4 +383,21 @@ TEST(FleetPipelineTest, FleetRuleEvaluationRunsOnMergedState) {
             renderProfileReport(Agg.mergedProfile()));
 }
 
+TEST(FleetPipelineTest, ProfileReportRendersHdrMetrics) {
+  ProcessProfile P = tinyProfile(1);
+  obs::MetricSnapshot M;
+  M.Name = "cham.gc.pause_hdr_nanos";
+  M.Kind = obs::MetricKind::Hdr;
+  M.Count = 3;
+  M.Sum = 600;
+  M.MinValue = 100;
+  M.MaxValue = 300;
+  P.Metrics.push_back(std::move(M));
+  std::string Report = renderProfileReport(P);
+  EXPECT_NE(Report.find("  cham.gc.pause_hdr_nanos = count=3 sum=600 "
+                        "min=100 max=300\n"),
+            std::string::npos)
+      << Report;
+}
+
 } // namespace

@@ -454,7 +454,7 @@ AllocDeltas measureAllocWorkload() {
     }
     Heap.collect(true);
   }
-  // Heap objects embed their variable parts in std::vector members, so
+  // The test Node keeps its slots in a std::vector and stays small, so
   // the direct path needs an explicit oversize block.
   void *Big = alloc::allocateBlock(alloc::kMaxPooledSize + 1);
   alloc::deallocateBlock(Big);

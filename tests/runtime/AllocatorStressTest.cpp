@@ -55,8 +55,9 @@ TEST(AllocatorStress, SizeClassTableInvariants) {
   // 16-aligned types always land on 16-aligned blocks.
   for (uint32_t C = 0; C < kNumClasses; ++C) {
     EXPECT_EQ(classSize(C) % 8, 0u) << "class " << C;
-    if (classSize(C) > 128)
+    if (classSize(C) > 128) {
       EXPECT_EQ(classSize(C) % 16, 0u) << "class " << C;
+    }
   }
 
   // classIndexFor is the exact inverse on class sizes and picks the
@@ -67,8 +68,9 @@ TEST(AllocatorStress, SizeClassTableInvariants) {
     const uint32_t C = classIndexFor(Size);
     ASSERT_LT(C, kNumClasses) << "size " << Size;
     EXPECT_GE(classSize(C), Size) << "size " << Size;
-    if (C > 0)
+    if (C > 0) {
       EXPECT_LT(classSize(C - 1), Size) << "size " << Size;
+    }
   }
 
   // Transfer batches amortise the central lock without hoarding pages.
@@ -202,6 +204,75 @@ TEST(AllocatorStress, BlocksSurviveModeSwitches) {
   setMode(Mode::Cached);
   deallocateBlock(FromCentral); // cached mode, central-served block
   deallocateBlock(FromDirect);  // cached mode, direct block
+}
+
+/// Collections grown through many size classes, then collected and torn
+/// down, keep the allocator's block accounting balanced. Every heap object
+/// is one allocator request (a pooled block, or a direct one: arrays keep
+/// their elements inline, so backing arrays past the largest pooled class
+/// go direct), and every block comes back: once the pools are warm, the
+/// same workload carves no new span.
+TEST(AllocatorStress, CollectionGrowthKeepsBlockAccountingBalanced) {
+  using namespace chameleon::alloc;
+  ASSERT_NE(mode(), Mode::Central) << "central mode counts no requests";
+  auto Counter = [](const char *Name) {
+    uint64_t V = 0;
+    for (const obs::MetricSnapshot &S :
+         obs::MetricsRegistry::instance().snapshot(Name))
+      V += S.Value;
+    return V;
+  };
+  auto Requests = [&] {
+    return Counter("cham.alloc.cache_hits") +
+           Counter("cham.alloc.cache_misses") +
+           Counter("cham.alloc.direct_allocs");
+  };
+  struct Round {
+    uint64_t Objects, Requests, Direct, Spans;
+  };
+  auto RunRound = [&] {
+    threadCache().publishStats();
+    const uint64_t Requests0 = Requests();
+    const uint64_t Direct0 = Counter("cham.alloc.direct_allocs");
+    const uint64_t Spans0 = Counter("cham.alloc.spans_carved");
+    uint64_t Objects = 0;
+    {
+      RuntimeConfig Config;
+      Config.GcThreads = 1; // every block is freed on this thread
+      CollectionRuntime RT(Config);
+      FrameId Site = RT.site("stress.grow:1");
+      List L = RT.newArrayList(Site);
+      Map ArrayBacked = RT.newMapOf(ImplKind::ArrayMap, Site);
+      Map Hashed = RT.newHashMap(Site);
+      // Past 4096 slots each backing array leaves the pooled classes.
+      for (int64_t I = 0; I < 5000; ++I) {
+        L.add(Value::ofInt(I));
+        Hashed.put(Value::ofInt(I), Value::ofInt(-I));
+        if (I < 2100)
+          ArrayBacked.put(Value::ofInt(I), Value::ofInt(-I));
+      }
+      EXPECT_EQ(Hashed.size(), 5000u);
+      RT.heap().collect(/*Forced=*/true);
+      std::string Error;
+      EXPECT_TRUE(RT.heap().verifyHeap(&Error)) << Error;
+      Objects = RT.heap().totalAllocatedObjects();
+    }
+    threadCache().publishStats();
+    return Round{Objects, Requests() - Requests0,
+                 Counter("cham.alloc.direct_allocs") - Direct0,
+                 Counter("cham.alloc.spans_carved") - Spans0};
+  };
+
+  const Round Warm = RunRound();
+  EXPECT_EQ(Warm.Requests, Warm.Objects) << "one block per heap object";
+  EXPECT_GE(Warm.Direct, 3u) << "each collection's largest array";
+  for (int I = 0; I < 3; ++I) {
+    const Round R = RunRound();
+    EXPECT_EQ(R.Objects, Warm.Objects) << "round " << I;
+    EXPECT_EQ(R.Requests, R.Objects) << "round " << I;
+    EXPECT_EQ(R.Direct, Warm.Direct) << "round " << I;
+    EXPECT_EQ(R.Spans, 0u) << "a block did not come back, round " << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -374,9 +445,10 @@ TEST(AllocatorDifferential, TvlaCachesOnOffIdentical) {
   for (unsigned GcThreads : {1u, 2u, 8u}) {
     EXPECT_EQ(Run(GcThreads, false), Baseline)
         << "locked path diverged at GcThreads=" << GcThreads;
-    if (GcThreads != 1)
+    if (GcThreads != 1) {
       EXPECT_EQ(Run(GcThreads, true), Baseline)
           << "cached path diverged at GcThreads=" << GcThreads;
+    }
   }
 }
 
